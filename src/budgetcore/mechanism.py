@@ -19,8 +19,9 @@ caps the score's sensitivity to any single report.
 
 The sampler is hit-and-run: pick a random direction, intersect it with ``P``,
 and resample the position along that chord from the restricted density.  The
-score is concave, so the chord density is unimodal and rejection sampling
-against its peak is cheap.  Chains are vectorized: many chains advance in
+score is concave, so the chord density is log-concave: each of its slices is
+one interval, and shrinkage slice sampling on the chord (Neal 2003) draws from
+it exactly, with no envelope.  Chains are vectorized: many chains advance in
 lockstep, and manipulation experiments reuse one stream of randomness across
 report variants so that identical reports yield identical chains.
 """
@@ -54,11 +55,6 @@ __all__ = [
     "manipulation_sweep",
 ]
 
-# Shrinking a bracket by (2/3)^36 leaves ~4e-7 of the chord, far below any
-# scale at which the concave chord score can hide extra mass above the
-# rejection envelope.
-_TERNARY_ITERS = 36
-
 _FEAS_TOL = 1e-9
 
 
@@ -71,7 +67,7 @@ class InfeasibleError(MechanismError):
 
 
 class RejectionCapError(MechanismError):
-    """Chord resampling exhausted its proposal budget; diagnostic, not fatal math."""
+    """A chord slice step exhausted its proposal budget; diagnostic, not fatal math."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,8 @@ class MechanismConfig:
     ``gamma`` sets the allocation floor n^(-gamma).  ``epsilon_priv`` is the
     exponential weight on the score; it doubles as the truthfulness parameter
     (misreporting can gain at most ``exp(2*epsilon_priv) - 1`` in expectation).
+    ``max_rejection_tries`` caps the chord proposals of one hit-and-run step;
+    a step that needs more raises :class:`RejectionCapError`.
     """
 
     gamma: float = 0.5
@@ -413,9 +411,17 @@ def _hit_and_run(
 ):
     """Advance all chains in lockstep; optionally collect thinned states.
 
+    Each step draws a direction and a slice level ``eps*q(X) - Exponential(1)``
+    per chain, then proposes uniformly on the chord, shrinking its bracket
+    toward the current point after each miss, until the proposal clears the
+    level.  ``proposals`` counts the proposals of chains still pending.
+
     ``crn_width`` < chains means random draws are made at that width and tiled,
     so chains that differ only in block index consume identical randomness --
-    the pairing that makes misreport experiments exactly reproducible.
+    the pairing that makes misreport experiments exactly reproducible.  A step
+    takes a fixed amount from ``rng`` (direction, level, one seed for the
+    shrink rounds), so no chain's path depends on how many rounds other chains
+    in the batch needed.
     """
     fs = scorer.fs
     X = np.array(X0, dtype=float)
@@ -430,41 +436,29 @@ def _hit_and_run(
     for step in range(n_steps):
         D = _tile(rng.standard_normal((width, k)), chains, width)
         D /= np.linalg.norm(D, axis=1, keepdims=True)
-        t_lo, t_hi = fs.chord(X, D)
-
-        # Bracket the chord maximum of the (concave) score by ternary search,
-        # tracking the best value ever seen as the rejection envelope.
-        a, b = t_lo.copy(), t_hi.copy()
-        phi_best = scorer.q(X)
-        for _ in range(_TERNARY_ITERS):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            ph = scorer.q(np.concatenate([X + m1[:, None] * D, X + m2[:, None] * D]))
-            f1, f2 = ph[:chains], ph[chains:]
-            phi_best = np.maximum(phi_best, np.maximum(f1, f2))
-            left = f1 < f2
-            a = np.where(left, m1, a)
-            b = np.where(left, b, m2)
-
-        accepted = np.zeros(chains, dtype=bool)
+        level = eps * scorer.q(X) - _tile(rng.standard_exponential(width), chains, width)
+        shrink_rng = np.random.default_rng(rng.integers(2**63))
+        a, b = fs.chord(X, D)
         t_new = np.zeros(chains)
+        pending = np.ones(chains, dtype=bool)
         rounds = 0
-        while not accepted.all():
+        while pending.any():
             if rounds >= max_tries:
                 raise RejectionCapError(
-                    f"chord resampling exceeded {max_tries} proposals at step {step} "
-                    f"({int((~accepted).sum())} of {chains} chains pending, "
+                    f"chord slice sampling exceeded {max_tries} proposals at step {step} "
+                    f"({int(pending.sum())} of {chains} chains pending, "
                     f"epsilon={eps:g}); raise max_rejection_tries or lower epsilon"
                 )
-            u_t = _tile(rng.random(width), chains, width)
-            u_acc = _tile(rng.random(width), chains, width)
-            t_prop = t_lo + u_t * (t_hi - t_lo)
-            ph = scorer.q(X + t_prop[:, None] * D)
-            ok = u_acc <= np.exp(np.minimum(eps * (ph - phi_best), 0.0))
-            t_new = np.where(ok & ~accepted, t_prop, t_new)
-            accepted |= ok
+            t = a + _tile(shrink_rng.random(width), chains, width) * (b - a)
+            # Score every chain, settled or not: paired chains must see
+            # bitwise-identical arithmetic.
+            ok = pending & (eps * scorer.q(X + t[:, None] * D) > level)
+            proposals += int(pending.sum())
+            t_new = np.where(ok, t, t_new)
+            pending &= ~ok
+            a = np.where(t < 0.0, t, a)
+            b = np.where(t < 0.0, b, t)
             rounds += 1
-            proposals += chains
         worst_round = max(worst_round, rounds)
 
         X = X + t_new[:, None] * D

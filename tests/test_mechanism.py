@@ -1,14 +1,19 @@
 """Randomized mechanism: feasible geometry, scoring, sampling, manipulation.
 
 The sampler is validated in total variation against the target density
-discretized by brute-force cell integration (k=2 keeps that tractable), and
+discretized by brute-force cell integration (k=2 keeps that tractable), at
+k=3 against the moments and a marginal of its uniform limit, and
 the manipulation harness against the design property that identical reports
 produce bitwise-identical chains (so the truth-vs-truth gain is exactly zero).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
+from budgetcore import mechanism
 from budgetcore.mechanism import (
     FeasibleSet,
     InfeasibleError,
@@ -347,6 +352,44 @@ class TestSampling:
                                n_chains=150, thin=3, grid=30)
         assert tv <= 0.05
 
+    def test_uniform_limit_k3(self):
+        # epsilon -> 0 makes the density flat.  On the k=3 floored simplex the
+        # slack shares w = (x - lb) / slack are then Dirichlet(1, 1, 1, 1):
+        # each has mean 1/4 and the unspent share 1 - sum(w) is Beta(1, 3).
+        u = np.random.default_rng(0).uniform(0.1, 1.0, (100, 3))
+        inst = normalized_instance(u)
+        cfg = MechanismConfig(gamma=0.5, epsilon_priv=1e-9, chain_steps=1000,
+                              burn_in=300, seed=29)
+        samples, _ = sample_chain(inst, cfg, 20_000, n_chains=100, thin=2)
+        fs = FeasibleSet(100, 3, 0.5)
+        w = (samples - fs.lower_bound) / fs.slack
+        assert np.abs(w.mean(axis=0) - 0.25).max() <= 0.02
+        ks = kstest(1.0 - w.sum(axis=1), lambda t: 1.0 - (1.0 - t) ** 3).statistic
+        assert ks <= 0.03
+
+    def test_proposals_count_pending_chains(self, monkeypatch):
+        calls = []
+        score = mechanism._Scorer.q
+
+        def counting_score(self, X):
+            calls.append(len(X))
+            return score(self, X)
+
+        monkeypatch.setattr(mechanism._Scorer, "q", counting_score)
+        # One chain: every score call but the per-step level is a proposal.
+        _, diag = sample_chain(TV_INSTANCE, TV_CFG, 200, n_chains=1)
+        assert diag["proposals"] == len(calls) - diag["steps"]
+        # Many chains: chains that have already settled are not counted, so
+        # the total lies strictly below chains x lockstep rounds.
+        calls.clear()
+        cfg = replace(TV_CFG, epsilon_priv=50.0)
+        _, diag = sample_chain(TV_INSTANCE, cfg, 400, n_chains=40)
+        chain_steps = diag["chains"] * diag["steps"]
+        assert chain_steps <= diag["proposals"] <= chain_steps * diag["worst_rejection_rounds"]
+        assert diag["proposals"] < diag["chains"] * (len(calls) - diag["steps"])
+        assert 0.0 < diag["accept_rate"] <= 1.0
+        assert diag["accept_rate"] == chain_steps / diag["proposals"]
+
     def test_peaked_limit_concentrates_near_optimum(self):
         cfg = MechanismConfig(gamma=0.8, epsilon_priv=400.0, chain_steps=1500,
                               burn_in=500, seed=3)
@@ -398,6 +441,18 @@ class TestManipulation:
             manipulation_gain(self.inst, 0, np.array([1.5, -0.5]), self.cfg)
         with pytest.raises(MechanismError, match="agent"):
             manipulation_gain(self.inst, 99, np.array([0.5, 0.5]), self.cfg)
+
+    def test_gain_independent_of_other_reports(self):
+        # A report's chains see the same random numbers whatever other reports
+        # share the sweep, however many shrink rounds their chains need.
+        lie = np.array([[1.0, 0.0]])
+        batch = np.vstack([lie, [[0.0, 1.0], [0.5, 0.5], [0.25, 0.75]]])
+        for eps in (0.05, 0.2, 1.0):
+            for seed in range(5):
+                cfg = replace(self.cfg, epsilon_priv=eps, seed=seed)
+                alone, _ = manipulation_sweep(self.inst, 0, lie, cfg, trials=5)
+                shared, _ = manipulation_sweep(self.inst, 0, batch, cfg, trials=5)
+                assert alone[0] == shared[0], (eps, seed)
 
     def test_gain_is_deterministic(self):
         mis = np.array([1.0, 0.0])
