@@ -20,10 +20,8 @@ from .model import (
     SmoothedSaturating,
     UtilityModel,
     ZTransform,
-    evaluate_utility,
     make_model,
     utility_gradient,
-    z_transform,
 )
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "SmoothedSaturating",
     "UtilityModel",
     "ZTransform",
-    "evaluate_utility",
     "make_model",
     "utility_gradient",
-    "z_transform",
 ]

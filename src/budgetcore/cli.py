@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -48,7 +48,7 @@ from .coreverify import (
 )
 from .lindahl import SolverConfig, lindahl_residuals, solve_potential, solve_proportional_fairness
 from .mechanism import MechanismConfig, MechanismError, approximation_certificate, sample_mechanism
-from .model import Allocation, Instance, make_model
+from .model import Allocation, Instance, UtilityModel, make_model
 from .saturating import HeuristicConfig, heuristic_solve
 
 __all__ = ["CliError", "ElectionConfig", "main", "run_command"]
@@ -56,6 +56,14 @@ __all__ = ["CliError", "ElectionConfig", "main", "run_command"]
 
 class CliError(ValueError):
     """Bad command-line usage or configuration."""
+
+
+# Config blocks passed straight to a stage's knobs; keys must be its fields.
+_CONFIG_BLOCKS = {
+    "solver": SolverConfig,
+    "heuristic": HeuristicConfig,
+    "mechanism": MechanismConfig,
+}
 
 
 def _to_cents(value, what: str) -> int:
@@ -117,15 +125,24 @@ class ElectionConfig:
                 )
         model = dict(raw.get("utility_model", {"family": "linear"}))
         family = model.pop("family", "linear")
+        blocks = {}
+        for name, knobs in _CONFIG_BLOCKS.items():
+            block = raw.get(name, {})
+            if not isinstance(block, dict):
+                raise CliError(f"config {source}: '{name}' must be a JSON object")
+            # The top-level seed feeds every stage, so no block takes its own.
+            allowed = {f.name for f in fields(knobs)} - {"seed"}
+            for key in sorted(set(block) - allowed):
+                hint = "; set the top-level 'seed' instead" if key == "seed" else ""
+                raise CliError(f"config {source}: unknown key {key!r} in '{name}'{hint}")
+            blocks[name] = dict(block)
         return ElectionConfig(
             budget_cents=budget_cents,
             item_sizes_cents=sizes,
             model_family=family,
             model_params=model,
-            solver=dict(raw.get("solver", {})),
-            heuristic=dict(raw.get("heuristic", {})),
-            mechanism=dict(raw.get("mechanism", {})),
             seed=int(raw.get("seed", 0)),
+            **blocks,
         )
 
     def echo(self) -> dict:
@@ -230,6 +247,17 @@ def _base_report(command: str, cfg: ElectionConfig, input_meta: dict) -> dict:
     }
 
 
+def _certificate(inst: Instance, model: UtilityModel, x) -> dict:
+    cert = certify_from_residual(inst, model, x)
+    return {
+        "epsilon": cert.epsilon,
+        "budget_total": cert.budget_total,
+        "budget_cap": cert.budget_cap,
+        "budget_ok": cert.budget_ok,
+        "guarantee": cert.guarantee,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -238,10 +266,8 @@ def _base_report(command: str, cfg: ElectionConfig, input_meta: dict) -> dict:
 def _cmd_solve(args, cfg: ElectionConfig, out_dir: Path) -> dict:
     inst, meta = _load_instance(args, cfg)
     model = make_model(inst, cfg.model_family, **cfg.model_params)
-    solver_cfg = SolverConfig(seed=cfg.seed, **cfg.solver)
     solve = solve_proportional_fairness if model.homogeneous else solve_potential
-    result = solve(inst, model, solver_cfg)
-    cert = certify_from_residual(inst, model, result.x)
+    result = solve(inst, model, SolverConfig(**cfg.solver))
     report = _base_report("solve", cfg, meta)
     report["artifacts"]["trace_csv"] = _write_trace(out_dir, result.objective_trace)
     report["result"] = {
@@ -251,13 +277,7 @@ def _cmd_solve(args, cfg: ElectionConfig, out_dir: Path) -> dict:
         "max_residual": float(np.max(result.residuals)),
         "iterations": result.iterations,
         "converged": result.converged,
-        "certificate": {
-            "epsilon": cert.epsilon,
-            "budget_total": cert.budget_total,
-            "budget_cap": cert.budget_cap,
-            "budget_ok": cert.budget_ok,
-            "guarantee": cert.guarantee,
-        },
+        "certificate": _certificate(inst, model, result.x),
     }
     return report
 
@@ -302,17 +322,7 @@ def _cmd_check_core(args, cfg: ElectionConfig, out_dir: Path) -> dict:
     model = make_model(inst, cfg.model_family, **cfg.model_params)
     report = _base_report("check-core", cfg, meta)
     report["input"]["allocation"] = str(args.allocation)
-    cert = certify_from_residual(inst, model, x)
-    result = {
-        "allocation": x,
-        "certificate": {
-            "epsilon": cert.epsilon,
-            "budget_total": cert.budget_total,
-            "budget_cap": cert.budget_cap,
-            "budget_ok": cert.budget_ok,
-            "guarantee": cert.guarantee,
-        },
-    }
+    result = {"allocation": x, "certificate": _certificate(inst, model, x)}
     try:
         dev = find_deviation_continuous(
             inst, model, x, grid_steps=args.grid, mode=args.mode, threshold=args.threshold
@@ -538,27 +548,9 @@ def main(argv=None) -> int:
             else ElectionConfig.from_dict({}, source="<defaults>")
         )
         if args.seed is not None:
-            cfg = ElectionConfig(
-                budget_cents=cfg.budget_cents,
-                item_sizes_cents=cfg.item_sizes_cents,
-                model_family=cfg.model_family,
-                model_params=cfg.model_params,
-                solver=cfg.solver,
-                heuristic=cfg.heuristic,
-                mechanism=cfg.mechanism,
-                seed=args.seed,
-            )
+            cfg = replace(cfg, seed=args.seed)
         if getattr(args, "budget", None) is not None:
-            cfg = ElectionConfig(
-                budget_cents=_to_cents(args.budget, "budget"),
-                item_sizes_cents=cfg.item_sizes_cents,
-                model_family=cfg.model_family,
-                model_params=cfg.model_params,
-                solver=cfg.solver,
-                heuristic=cfg.heuristic,
-                mechanism=cfg.mechanism,
-                seed=cfg.seed,
-            )
+            cfg = replace(cfg, budget_cents=_to_cents(args.budget, "budget"))
         report_path = run_command(args.command, args, cfg, Path(args.out))
     except (ValueError, OSError) as e:
         # Covers CliError, BallotError, model/solver validation errors, and IO.

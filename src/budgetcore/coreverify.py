@@ -59,6 +59,9 @@ class CoreCertificate:
 
     @property
     def budget_ok(self) -> bool:
+        """Certified spend under the cap; never True without a finite epsilon."""
+        if not np.isfinite(self.epsilon):
+            return False
         return self.budget_total <= self.budget_cap * (1 + 1e-12)
 
 
@@ -81,12 +84,17 @@ def certify_from_residual(
     inst: Instance, model: UtilityModel, x, funded_tol: Optional[float] = None
 ) -> CoreCertificate:
     """Approximation bound from the equilibrium residuals: eps is the largest
-    two-sided residual on funded items / positive part on unfunded ones."""
+    two-sided residual on funded items / positive part on unfunded ones.
+
+    A non-finite residual (say, 0 * inf in a gradient at a zero spend) gives
+    eps = inf, which certifies nothing."""
     xv = allocation_vector(x)
     tol = 1e-11 * inst.budget if funded_tol is None else funded_tol
     res = lindahl_residuals(inst, model, xv)
     funded = xv > tol
     eps = float(np.where(funded, np.abs(res), np.maximum(res, 0.0)).max())
+    if not np.isfinite(eps):
+        eps = np.inf
     total = float(xv.sum())
     cap = inst.budget / (1.0 - eps) if eps < 1.0 else np.inf
     return CoreCertificate(

@@ -19,6 +19,12 @@ the query-limited variant: each round asks one sampled voter only for the
 *direction* of their utility gradient (the unit-ball best response) and takes
 an unbiased stochastic ascent step.  ``recover_prices`` turns a solution into
 supporting per-voter price vectors.
+
+The randomized mechanism's fairness point over its floored simplex is also
+found by ``solve_proportional_fairness``: shifting every linear utility by
+floor/slack turns it into the proportional-fairness point of a budget-slack
+instance (see ``budgetcore.mechanism.proportional_fairness_point``), so this
+module holds the package's one projected-ascent engine.
 """
 
 from __future__ import annotations
@@ -89,7 +95,6 @@ class SolverConfig:
     max_iters: int = 50_000
     z_floor: Optional[float] = None
     step_init: float = 1.0
-    seed: int = 0
 
     def floor_for(self, budget: float) -> float:
         return 1e-12 * budget if self.z_floor is None else self.z_floor
@@ -262,6 +267,14 @@ def _condition_violation(res: np.ndarray, funded: np.ndarray) -> float:
     return float(over.max())
 
 
+def _allocation_violation(
+    inst: Instance, model: UtilityModel, x: np.ndarray, floor: float
+) -> float:
+    """The convergence metric at an allocation, with items near the floor unfunded."""
+    res = lindahl_residuals(inst, model, x)
+    return _condition_violation(res, x > _FUNDED_FLOOR_MULT * floor)
+
+
 def solve_proportional_fairness(
     inst: Instance, model: UtilityModel, cfg: Optional[SolverConfig] = None
 ) -> LindahlResult:
@@ -288,10 +301,6 @@ def solve_proportional_fairness(
         U = model.utilities_all(x)
         return model.gradients_all(x).T @ (1.0 / U) - (n / B)
 
-    def violation(x):
-        res = lindahl_residuals(inst, model, x)
-        return _condition_violation(res, x > _FUNDED_FLOOR_MULT * floor)
-
     def neg_hessian(x):
         from .model import CobbDouglas
 
@@ -305,7 +314,7 @@ def solve_proportional_fairness(
     prob = _Ascent(
         value=value,
         grad=grad,
-        violation=violation,
+        violation=lambda x: _allocation_violation(inst, model, x, floor),
         floor=floor,
         ray_scale=lambda x: B / x.sum(),
         neg_hessian=neg_hessian,
@@ -439,11 +448,6 @@ def sgd_elicitation(
     x = np.full(k, B / k)
     trace = []
     checkpoint = max(1, rounds // 250)
-
-    def violation(xv):
-        res = lindahl_residuals(inst, model, xv)
-        return _condition_violation(res, xv > _FUNDED_FLOOR_MULT * floor)
-
     for t in range(1, rounds + 1):
         i = int(rng.integers(n))
         d = model.gradient(i, x)
@@ -454,7 +458,7 @@ def sgd_elicitation(
         g = d / max(float(x @ d), clamp) - 1.0 / B
         x = _project_budget_box(x + step_of(t) * g, floor, B)
         if t % checkpoint == 0 or t == rounds:
-            trace.append((t, violation(x)))
+            trace.append((t, _allocation_violation(inst, model, x, floor)))
 
     final_viol = trace[-1][1]
     return LindahlResult(

@@ -17,6 +17,13 @@ budget normalized to 1 and every utility row normalized to unit l1 norm
 whose floor keeps every voter's utility bounded away from zero, which is what
 caps the score's sensitivity to any single report.
 
+The score peaks at the proportional-fairness point of ``P``.  Shifting every
+utility by n^(-gamma) / slack turns that point into the unconstrained
+proportional-fairness point of a budget-``slack`` instance, so
+:func:`proportional_fairness_point` solves it with
+:func:`budgetcore.lindahl.solve_proportional_fairness` instead of an optimizer
+of its own.
+
 The sampler is hit-and-run: pick a random direction, intersect it with ``P``,
 and resample the position along that chord from the restricted density.  The
 score is concave, so the chord density is log-concave: each of its slices is
@@ -34,7 +41,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import Allocation, Instance, allocation_vector
+from .lindahl import SolverConfig, solve_proportional_fairness
+from .model import Allocation, Instance, Linear, allocation_vector
 
 __all__ = [
     "MechanismError",
@@ -50,8 +58,6 @@ __all__ = [
     "sample_chain",
     "approximation_certificate",
     "privacy_precondition_ok",
-    "manipulation_gain",
-    "manipulation_experiment",
     "manipulation_sweep",
 ]
 
@@ -232,32 +238,36 @@ class _Scorer:
         return self.fs.n - self.fs.lower_bound * value
 
 
-def _check_membership(fs: FeasibleSet, x: np.ndarray) -> None:
-    if not fs.contains(x, tol=1e-7):
+def _inner_at(
+    inst: Instance, x: Union[Allocation, np.ndarray], cfg: MechanismConfig
+) -> tuple[FeasibleSet, float, int]:
+    """The floored simplex, inner maximum and argmax item at one allocation in it."""
+    _require_normalized(inst)
+    fs = FeasibleSet(inst.n, inst.k, cfg.gamma)
+    xv = allocation_vector(x)
+    if not fs.contains(xv, tol=1e-7):
         raise MechanismError(
             "allocation lies outside the floored simplex "
-            f"(floor {fs.lower_bound:.6g}, total {x.sum():.6g})"
+            f"(floor {fs.lower_bound:.6g}, total {xv.sum():.6g})"
         )
+    value, best_j = _Scorer(inst.utilities, fs).inner_terms(xv[None, :])
+    return fs, float(value[0]), int(best_j[0])
 
 
 def inner_max(
     inst: Instance, x: Union[Allocation, np.ndarray], cfg: MechanismConfig
 ) -> tuple[float, Allocation]:
     """max_y sum_i U_i(y)/U_i(x) over the floored simplex, with its argmax vertex."""
-    _require_normalized(inst)
-    fs = FeasibleSet(inst.n, inst.k, cfg.gamma)
-    xv = allocation_vector(x)
-    _check_membership(fs, xv)
-    value, best_j = _Scorer(inst.utilities, fs).inner_terms(xv[None, :])
+    fs, value, best_j = _inner_at(inst, x, cfg)
     y = np.full(inst.k, fs.lower_bound)
-    y[int(best_j[0])] += fs.slack
-    return float(value[0]), Allocation(x=y)
+    y[best_j] += fs.slack
+    return value, Allocation(x=y)
 
 
 def score_q(inst: Instance, x: Union[Allocation, np.ndarray], cfg: MechanismConfig) -> float:
     """The mechanism's concave quality score; 0 <= q <= n - n^(1-gamma)."""
-    value, _ = inner_max(inst, x, cfg)
-    return inst.n - FeasibleSet(inst.n, inst.k, cfg.gamma).lower_bound * value
+    fs, value, _ = _inner_at(inst, x, cfg)
+    return inst.n - fs.lower_bound * value
 
 
 def privacy_precondition_ok(n: int, k: int, epsilon: float) -> bool:
@@ -288,11 +298,8 @@ def approximation_certificate(
             f"eps={cfg.epsilon_priv:g}"
         )
     norm = normalize_instance(inst)
-    fs = FeasibleSet(norm.n, norm.k, cfg.gamma)
-    xv = allocation_vector(x) / inst.budget
-    _check_membership(fs, xv)
-    value, _ = _Scorer(norm.utilities, fs).inner_terms(xv[None, :])
-    alpha = max(float(value[0]) - norm.n, 0.0)
+    fs, value, _ = _inner_at(norm, allocation_vector(x) / inst.budget, cfg)
+    alpha = max(value - norm.n, 0.0)
     lb = fs.lower_bound
     return ((norm.k - 1) * lb + alpha / norm.n) / (1.0 - norm.k * lb)
 
@@ -302,45 +309,20 @@ def approximation_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _project_floored(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto { v >= 0, sum(v) <= cap }."""
-    w = np.maximum(v, 0.0)
-    if w.sum() <= cap:
-        return w
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - cap
-    idx = np.arange(1, v.size + 1)
-    rho = np.flatnonzero(u - css / idx > 0)[-1]
-    return np.maximum(v - css[rho] / (rho + 1), 0.0)
-
-
-def _segment_argmax(U: np.ndarray, w: np.ndarray) -> float:
-    """argmax over t in [0, 1] of sum_i log(U_i + t * w_i), given positive slope at 0."""
-    hi_slope = float((w / (U + w)).sum())
-    if hi_slope >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float((w / (U + mid * w)).sum()) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def proportional_fairness_point(
-    inst: Instance,
-    cfg: MechanismConfig,
-    tol: Optional[float] = None,
-    max_iters: int = 20_000,
+    inst: Instance, cfg: MechanismConfig, tol: Optional[float] = None
 ) -> np.ndarray:
     """Maximize sum_i log U_i over the floored simplex.
 
-    Stops when the inner maximum at the iterate is within ``tol`` of n, which
-    certifies the score is within n^(-gamma) * tol of its maximum value
-    n - n^(1-gamma).  Uses projected gradient ascent with backtracking, plus an
-    exact line search toward the best vertex to escape slow corner approaches.
+    Write x = lb + w with w >= 0.  On the face sum(w) = slack, where the
+    maximizer lies, each voter's utility is (u_i + lb/slack) . w, so the
+    maximizer is lb plus the proportional-fairness point of that shifted
+    instance with budget ``slack``, which :func:`solve_proportional_fairness`
+    computes.  On the face the inner maximum equals n + n * max_j r_j, with r
+    the shifted instance's equilibrium residuals, so stopping the solver at
+    residual tolerance ``tol / n`` stops it once the inner maximum at x is
+    within ``tol`` of n.  That certifies the score is within n^(-gamma) * tol
+    of its maximum value n - n^(1-gamma).
     """
     _require_normalized(inst)
     fs = FeasibleSet(inst.n, inst.k, cfg.gamma)
@@ -348,41 +330,12 @@ def proportional_fairness_point(
         return fs.center()
     if tol is None:
         tol = 1e-8 * inst.n ** cfg.gamma
-    u = inst.utilities
     lb, slack = fs.lower_bound, fs.slack
-    x = fs.center()
-    fx = float(np.log(u @ x).sum())
-    eta = 1.0
-    for _ in range(max_iters):
-        U = u @ x
-        grad = (u / U[:, None]).sum(axis=0)
-        value = lb * (1.0 / U).sum() + slack * grad.max()
-        if value - inst.n <= tol:
-            break
-        candidates: list[tuple[float, np.ndarray]] = []
-
-        y = np.full(inst.k, lb)
-        y[int(np.argmax(grad))] += slack
-        d = y - x
-        w = u @ d
-        if float((w / U).sum()) > 0.0:
-            x_seg = x + _segment_argmax(U, w) * d
-            candidates.append((float(np.log(u @ x_seg).sum()), x_seg))
-
-        while eta > 1e-18:
-            x_pg = lb + _project_floored((x - lb) + eta * grad, slack)
-            f_pg = float(np.log(u @ x_pg).sum())
-            if f_pg >= fx + 1e-4 * float(grad @ (x_pg - x)):
-                candidates.append((f_pg, x_pg))
-                eta *= 1.3
-                break
-            eta *= 0.5
-
-        best = max(candidates, key=lambda c: c[0], default=None)
-        if best is None or best[0] <= fx:
-            break
-        fx, x = best[0], best[1]
-    return x
+    shifted = Instance(utilities=inst.utilities + lb / slack, budget=slack)
+    res = solve_proportional_fairness(
+        shifted, Linear(shifted.utilities), SolverConfig(residual_tol=tol / inst.n)
+    )
+    return lb + res.x.x
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +526,20 @@ def _prepare_reports(inst: Instance, agent: int, misreports: np.ndarray) -> np.n
     return R
 
 
-def _manipulation_stats(
+def manipulation_sweep(
     inst: Instance,
     agent: int,
     misreports: np.ndarray,
     cfg: MechanismConfig,
-    trials: int,
-    thin: int = 1,
+    trials: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-misreport expected-utility gains and paired standard errors.
+    """Expected-utility gains and paired standard errors for a batch of misreports.
 
-    Runs one chain block per report variant (truth first), all blocks seeing
-    the same random draws, and compares per-chain time averages of the agent's
+    ``misreports`` is one report (k,) or a batch (m, k) of unit-l1 rows.  Runs
+    one chain block per report variant (truth first), all blocks seeing the
+    same random draws, and compares per-chain time averages of the agent's
     true utility.  Identical reports therefore produce identical chains and an
-    exactly zero gain estimate.
+    exactly zero gain estimate.  Returns (m,) gains and (m,) standard errors.
     """
     if trials < 2:
         raise MechanismError("need at least 2 trials for a standard error")
@@ -608,7 +561,7 @@ def _manipulation_stats(
         X0,
         cfg.chain_steps,
         burn_in=cfg.burn_in,
-        thin=thin,
+        thin=1,
         rng=rng,
         max_tries=cfg.max_rejection_tries,
         crn_width=trials,
@@ -621,38 +574,3 @@ def _manipulation_stats(
     gains = diffs.mean(axis=1)
     ses = diffs.std(axis=1, ddof=1) / math.sqrt(trials)
     return gains, ses
-
-
-def manipulation_gain(
-    inst: Instance,
-    agent: int,
-    misreport: np.ndarray,
-    cfg: MechanismConfig,
-    trials: int = 8,
-) -> float:
-    """Estimated change in agent's expected true utility from one misreport."""
-    gains, _ = _manipulation_stats(inst, agent, np.asarray(misreport)[None, :], cfg, trials)
-    return float(gains[0])
-
-
-def manipulation_experiment(
-    inst: Instance,
-    agent: int,
-    misreport: np.ndarray,
-    cfg: MechanismConfig,
-    trials: int = 8,
-) -> tuple[float, float]:
-    """Gain estimate plus its paired Monte-Carlo standard error."""
-    gains, ses = _manipulation_stats(inst, agent, np.asarray(misreport)[None, :], cfg, trials)
-    return float(gains[0]), float(ses[0])
-
-
-def manipulation_sweep(
-    inst: Instance,
-    agent: int,
-    misreports: np.ndarray,
-    cfg: MechanismConfig,
-    trials: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gains and standard errors for a whole batch of misreports in one run."""
-    return _manipulation_stats(inst, agent, np.asarray(misreports), cfg, trials)

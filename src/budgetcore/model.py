@@ -33,9 +33,7 @@ __all__ = [
     "Saturating",
     "SmoothedSaturating",
     "make_model",
-    "evaluate_utility",
     "utility_gradient",
-    "z_transform",
     "allocation_vector",
 ]
 
@@ -534,11 +532,6 @@ def make_model(inst: Instance, family: str, **params) -> UtilityModel:
     raise ModelError(f"unknown utility family {family!r}")
 
 
-def evaluate_utility(model: UtilityModel, agent: int, x) -> float:
-    """U_agent(x) under the given family."""
-    return model.utility(agent, x)
-
-
 def utility_gradient(model: UtilityModel, agent: int, x) -> np.ndarray:
     """dU_agent/dx. At a saturating kink the left derivative is returned and a
     warning is emitted; the flagged items are available via ``model.kink_mask``."""
@@ -552,8 +545,3 @@ def utility_gradient(model: UtilityModel, agent: int, x) -> np.ndarray:
             stacklevel=2,
         )
     return g
-
-
-def z_transform(model: UtilityModel) -> ZTransform:
-    """The money <-> marginal-spend change of variables for non-satiating families."""
-    return model.z_transform()

@@ -297,6 +297,15 @@ class TestErrors:
         assert err["error"]["type"] == "CliError"
         assert "unknown keys" in err["error"]["message"]
 
+    def test_unknown_block_key_is_an_error_report(self, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"solver": {"tolerance": 1e-6}}))
+        rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
+                      "--config", str(config), "--out", str(tmp_path))
+        assert rc == 1
+        assert err["error"]["type"] == "CliError"
+        assert "'tolerance'" in err["error"]["message"]
+
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
                       "--param", "p0.5", "--out", str(tmp_path))
@@ -340,6 +349,30 @@ class TestConfigParsing:
         })
         assert cfg.model_family == "power-sum"
         assert cfg.model_params == {"alpha": 0.5}
+
+    @pytest.mark.parametrize("block, key", [
+        ("solver", "tolerance"),
+        ("heuristic", "max_iters"),
+        ("mechanism", "steps"),
+    ])
+    def test_unknown_block_key_rejected(self, block, key):
+        with pytest.raises(CliError, match=f"unknown key '{key}' in '{block}'"):
+            ElectionConfig.from_dict({block: {key: 1}})
+
+    @pytest.mark.parametrize("block", ["solver", "heuristic", "mechanism"])
+    def test_nested_seed_points_to_top_level(self, block):
+        with pytest.raises(CliError, match="top-level 'seed'"):
+            ElectionConfig.from_dict({block: {"seed": 3}})
+
+    def test_block_keys_accepted(self):
+        cfg = ElectionConfig.from_dict({
+            "solver": {"residual_tol": 1e-6},
+            "heuristic": {"max_sweeps": 50},
+            "mechanism": {"gamma": 0.9, "chain_steps": 100, "burn_in": 10},
+        })
+        assert cfg.solver == {"residual_tol": 1e-6}
+        assert cfg.heuristic == {"max_sweeps": 50}
+        assert cfg.mechanism["gamma"] == 0.9
 
     def test_echo_round_trips_budget(self):
         cfg = ElectionConfig.from_dict({"budget": 2.5, "seed": 9})

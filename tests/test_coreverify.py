@@ -21,7 +21,7 @@ from budgetcore.coreverify import (
     find_deviation_integral,
 )
 from budgetcore.lindahl import solve_proportional_fairness
-from budgetcore.model import Allocation, Instance, Linear, ModelError
+from budgetcore.model import Allocation, Instance, Linear, ModelError, PowerSum
 
 
 def minority_instance(n=5, budget=1.0):
@@ -73,6 +73,15 @@ class TestCertificate:
         model = Linear(inst.utilities)
         cert = certify_from_residual(inst, model, np.array([0.7, 0.2]))
         assert cert.budget_cap == pytest.approx(inst.budget / (1 - cert.epsilon))
+
+    def test_non_finite_residual_certifies_nothing(self):
+        # x_2 = 0 with alpha < 1 puts 0 * inf = NaN into voter 0's gradient.
+        inst = Instance(utilities=np.array([[1.0, 0.0], [0.5, 0.5]]), budget=1.0)
+        model = PowerSum(inst.utilities, 0.5)
+        with np.errstate(invalid="ignore"):
+            cert = certify_from_residual(inst, model, np.array([1.0, 0.0]))
+        assert cert.epsilon == np.inf
+        assert not cert.budget_ok
 
 
 class TestContinuousOracle:

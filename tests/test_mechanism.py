@@ -22,8 +22,6 @@ from budgetcore.mechanism import (
     RejectionCapError,
     approximation_certificate,
     inner_max,
-    manipulation_experiment,
-    manipulation_gain,
     manipulation_sweep,
     normalize_instance,
     privacy_precondition_ok,
@@ -33,7 +31,8 @@ from budgetcore.mechanism import (
     score_q,
 )
 from budgetcore.ballots import gen_synthetic
-from budgetcore.model import Instance
+from budgetcore.lindahl import lindahl_residuals
+from budgetcore.model import Instance, Linear
 
 
 def normalized_instance(u, budget=1.0):
@@ -302,6 +301,33 @@ class TestFairnessPoint:
         value, _ = inner_max(inst, x, MechanismConfig(gamma=0.5))
         assert value - 50 <= 1e-6
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_meets_documented_tol_at_boston_scale(self, seed):
+        # The default tol is 1e-8 * n^gamma on the inner-max gap.
+        n, gamma = 2054, 0.5
+        inst = normalize_instance(gen_synthetic("k-approval", n=n, k=10, seed=seed))
+        cfg = MechanismConfig(gamma=gamma)
+        x = proportional_fairness_point(inst, cfg)
+        value, _ = inner_max(inst, x, cfg)
+        assert value - n <= 1e-8 * n**gamma
+
+    def test_inner_gap_is_n_times_shifted_residual(self):
+        # On the face sum(x) = 1, x = lb + w, the inner-max gap equals n times
+        # the largest equilibrium residual of the instance u + lb/slack with
+        # budget slack at w: the identity the fairness point's stopping rule uses.
+        rng = np.random.default_rng(11)
+        for n, k, gamma in ((40, 3, 0.5), (200, 6, 0.5), (30, 2, 0.8)):
+            inst = normalized_instance(rng.uniform(0.0, 1.0, size=(n, k)))
+            cfg = MechanismConfig(gamma=gamma)
+            fs = FeasibleSet(n, k, gamma)
+            lb, slack = fs.lower_bound, fs.slack
+            shifted = Instance(utilities=inst.utilities + lb / slack, budget=slack)
+            for _ in range(20):
+                w = slack * rng.dirichlet(np.ones(k))
+                value, _ = inner_max(inst, lb + w, cfg)
+                r = lindahl_residuals(shifted, Linear(shifted.utilities), w)
+                assert value - n == pytest.approx(n * r.max(), rel=1e-9, abs=1e-9 * n)
+
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -422,25 +448,24 @@ class TestManipulation:
     def test_truthful_report_gains_exactly_zero(self):
         # Identical reports share identical chains (common random numbers),
         # so the paired difference is exactly zero, not just small.
-        gain = manipulation_gain(self.inst, 0, self.inst.utilities[0] /
-                                 self.inst.utilities[0].sum(), self.cfg, trials=4)
-        assert gain == 0.0
+        truth = self.inst.utilities[0] / self.inst.utilities[0].sum()
+        gains, ses = manipulation_sweep(self.inst, 0, truth, self.cfg, trials=4)
+        assert gains.shape == (1,)
+        assert gains[0] == 0.0 and ses[0] == 0.0
 
     def test_sweep_shapes_and_se(self):
         mis = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         gains, ses = manipulation_sweep(self.inst, 0, mis, self.cfg, trials=5)
         assert gains.shape == (3,) and ses.shape == (3,)
         assert np.all(ses >= 0)
-        g, se = manipulation_experiment(self.inst, 0, mis[0], self.cfg, trials=5)
-        assert g == pytest.approx(gains[0]) and se == pytest.approx(ses[0])
 
     def test_report_validation(self):
         with pytest.raises(MechanismError, match="unit l1 norm"):
-            manipulation_gain(self.inst, 0, np.array([0.9, 0.2]), self.cfg)
+            manipulation_sweep(self.inst, 0, np.array([0.9, 0.2]), self.cfg)
         with pytest.raises(MechanismError, match="nonnegative"):
-            manipulation_gain(self.inst, 0, np.array([1.5, -0.5]), self.cfg)
+            manipulation_sweep(self.inst, 0, np.array([1.5, -0.5]), self.cfg)
         with pytest.raises(MechanismError, match="agent"):
-            manipulation_gain(self.inst, 99, np.array([0.5, 0.5]), self.cfg)
+            manipulation_sweep(self.inst, 99, np.array([0.5, 0.5]), self.cfg)
 
     def test_gain_independent_of_other_reports(self):
         # A report's chains see the same random numbers whatever other reports
@@ -455,7 +480,7 @@ class TestManipulation:
                 assert alone[0] == shared[0], (eps, seed)
 
     def test_gain_is_deterministic(self):
-        mis = np.array([1.0, 0.0])
-        a = manipulation_gain(self.inst, 0, mis, self.cfg, trials=4)
-        b = manipulation_gain(self.inst, 0, mis, self.cfg, trials=4)
-        assert a == b
+        mis = np.array([[1.0, 0.0], [0.0, 1.0]])
+        a = manipulation_sweep(self.inst, 0, mis, self.cfg, trials=4)
+        b = manipulation_sweep(self.inst, 0, mis, self.cfg, trials=4)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
