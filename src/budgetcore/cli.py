@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -249,13 +249,7 @@ def _base_report(command: str, cfg: ElectionConfig, input_meta: dict) -> dict:
 
 def _certificate(inst: Instance, model: UtilityModel, x) -> dict:
     cert = certify_from_residual(inst, model, x)
-    return {
-        "epsilon": cert.epsilon,
-        "budget_total": cert.budget_total,
-        "budget_cap": cert.budget_cap,
-        "budget_ok": cert.budget_ok,
-        "guarantee": cert.guarantee,
-    }
+    return {**asdict(cert), "budget_ok": cert.budget_ok}
 
 
 # ---------------------------------------------------------------------------

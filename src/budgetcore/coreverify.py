@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .lindahl import lindahl_residuals
+from .lindahl import DegenerateAgentError, lindahl_residuals
 from .model import Allocation, Instance, Saturating, UtilityModel, allocation_vector
 
 __all__ = [
@@ -38,6 +39,11 @@ _MAX_N_CONTINUOUS = 500
 _MAX_GRID_POINTS = 2_000_000
 _MAX_K_INTEGRAL = 12
 _MAX_N_INTEGRAL = 20
+# Relative slack of the continuous oracle's crossing-budget test, far above
+# rounding.  Cobb-Douglas has U(b y) = b^m U(y), m the exponent mass on funded
+# items, and its log(0) stand-in lets m miss 1 by up to 7.5e-7 before U
+# underflows to 0; b^(m - 1) stays within 1e-3 of 1 for every b >= 1e-200.
+_PRUNE_RTOL = 1e-3
 
 
 class InstanceTooLarge(ValueError):
@@ -59,10 +65,9 @@ class CoreCertificate:
 
     @property
     def budget_ok(self) -> bool:
-        """Certified spend under the cap; never True without a finite epsilon."""
-        if not np.isfinite(self.epsilon):
-            return False
-        return self.budget_total <= self.budget_cap * (1 + 1e-12)
+        """Certified spend under the cap; never True unless eps < 1, since at
+        eps >= 1 every coalition budget (|S|/n - eps) B is empty."""
+        return bool(self.epsilon < 1.0 and self.budget_total <= self.budget_cap * (1 + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,24 @@ def certify_from_residual(
     """Approximation bound from the equilibrium residuals: eps is the largest
     two-sided residual on funded items / positive part on unfunded ones.
 
-    A non-finite residual (say, 0 * inf in a gradient at a zero spend) gives
-    eps = inf, which certifies nothing."""
+    eps >= 1 certifies nothing, since every budget (|S|/n - eps) B is empty;
+    nor does a non-finite residual (say, 0 * inf in a gradient at a zero
+    spend), which gives eps = inf, or a voter with zero marginal spend, whose
+    residual is undefined (the guarantee then names the voter)."""
     xv = allocation_vector(x)
     tol = 1e-11 * inst.budget if funded_tol is None else funded_tol
-    res = lindahl_residuals(inst, model, xv)
+    total = float(xv.sum())
+    try:
+        res = lindahl_residuals(inst, model, xv)
+    except DegenerateAgentError as e:
+        return CoreCertificate(np.inf, total, np.inf, f"unavailable: {e}")
     funded = xv > tol
     eps = float(np.where(funded, np.abs(res), np.maximum(res, 0.0)).max())
     if not np.isfinite(eps):
         eps = np.inf
-    total = float(xv.sum())
-    cap = inst.budget / (1.0 - eps) if eps < 1.0 else np.inf
+    if eps >= 1.0:
+        return CoreCertificate(eps, total, np.inf, f"none: eps {eps:.3g} >= 1 empties every budget")
+    cap = inst.budget / (1.0 - eps)
     return CoreCertificate(
         epsilon=eps,
         budget_total=total,
@@ -133,12 +145,6 @@ def budget_grid(k: int, grid_steps: int) -> np.ndarray:
     return _budget_grid_cached(int(k), int(grid_steps))
 
 
-def _n_compositions(total: int, parts: int) -> int:
-    from math import comb
-
-    return comb(total + parts - 1, parts - 1)
-
-
 def find_deviation_continuous(
     inst: Instance,
     model: UtilityModel,
@@ -158,6 +164,14 @@ def find_deviation_continuous(
     (``mode="additive"``, deviation when gain > threshold) or ratios
     (``mode="multiplicative"``, deviation when ratio > threshold).  Returns the
     deviation with maximal worst-member gain, or None.
+
+    For degree-1 homogeneous families U_i(b p) = b U_i(p), so voter i clears
+    the threshold at grid direction p iff b exceeds a crossing budget c_pi
+    computed once from U(p); size s can block at p only if the s-th smallest
+    c_pi is below its coalition budget, and other (p, s) pairs are skipped.
+    The test's slack is far above rounding, so no pair that clears is skipped,
+    and kept pairs' gains are computed as in the full scan: the search stays
+    exhaustive and its result unchanged.  Other families scan every pair.
     """
     if mode not in ("additive", "multiplicative"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -167,22 +181,36 @@ def find_deviation_continuous(
             f"continuous oracle enumerates a {k}-dim grid for {n} coalition sizes; "
             f"limits are k <= {_MAX_K_CONTINUOUS}, n <= {_MAX_N_CONTINUOUS}"
         )
-    if _n_compositions(grid_steps, k) > _MAX_GRID_POINTS:
+    if comb(grid_steps + k - 1, k - 1) > _MAX_GRID_POINTS:
         raise InstanceTooLarge("spend grid too fine for this many items")
 
     xv = allocation_vector(x)
     Ux = model.utilities_all(xv)
     unit = budget_grid(k, grid_steps)
+    crossing = np.broadcast_to(-np.inf, (unit.shape[0], n))  # admits every pair
+    if model.homogeneous:
+        # Voter i clears at b * p iff b * U_i(p) > need_i, i.e. iff b exceeds
+        # c = need / U(p), less slack (+inf where U_i(p) = 0 and need_i >= 0).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = threshold + Ux if mode == "additive" else np.where(Ux > 0, threshold * Ux, 0.0)
+            slack = _PRUNE_RTOL * (abs(threshold) * (1 + Ux) + Ux)
+            c = (need - slack) / model.utilities_batch(unit)
+        crossing = np.sort(np.where(np.isnan(c), np.inf, c), axis=1)
     best: Optional[Deviation] = None
     best_gain = -np.inf
 
     for s in range(1, n + 1):
         b = (s / n - budget_slack) * B
-        if b <= 0:
+        rows = np.flatnonzero(crossing[:, s - 1] < b * (1 + _PRUNE_RTOL))
+        if b <= 0 or rows.size == 0:
             continue
+        # Evaluate every grid point, then keep the admitted rows: the kept
+        # gains are bitwise those of the full scan, whatever rows BLAS gets.
         Uy = model.utilities_batch(unit * b)  # (points, n)
+        if rows.size < unit.shape[0]:
+            Uy = Uy[rows]
         if mode == "additive":
-            gains = Uy - Ux[None, :]
+            gains = np.subtract(Uy, Ux[None, :], out=Uy)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 gains = np.where(
@@ -199,7 +227,7 @@ def find_deviation_continuous(
             best_gain = float(kth[idx])
             best = Deviation(
                 coalition=tuple(sorted(int(i) for i in members)),
-                y=Allocation(unit[idx] * b),
+                y=Allocation(unit[rows[idx]] * b),
                 min_gain=best_gain,
                 mode=mode,
             )
@@ -215,6 +243,8 @@ def find_deviation_integral(
     every voter with U_i(T) > (1 + epsilon_mult) U_i(x), and T blocks when that
     coalition's proportional budget covers cost(T).  (Taking all improvers
     maximizes the available budget, so this finds a deviation iff one exists.)
+    All 2^k - 1 bundles are scored at once in array operations; ties go to
+    the lowest bundle bitmask.
     """
     sizes = inst.require_sizes()
     n, k, B = inst.n, inst.k, inst.budget
@@ -223,31 +253,29 @@ def find_deviation_integral(
             f"integral oracle enumerates 2^{k} bundles over {n} voters; "
             f"limits are k <= {_MAX_K_INTEGRAL}, n <= {_MAX_N_INTEGRAL}"
         )
-    model = Saturating(inst.utilities, sizes)
-    Ux = model.utilities_all(allocation_vector(x))
-    factor = 1.0 + epsilon_mult
-
-    best: Optional[Deviation] = None
-    best_gain = -np.inf
-    for bits in range(1, 1 << k):
-        bundle = np.array([(bits >> j) & 1 for j in range(k)], dtype=float)
-        cost = float(bundle @ sizes)
-        if cost > B:
-            continue
-        # Full funding of the bundle: value 1 per bundled item.
-        Ut = inst.utilities @ bundle
-        improvers = np.flatnonzero(Ut > factor * Ux)
-        if improvers.size == 0 or (improvers.size / n) * B < cost:
-            continue
-        with np.errstate(divide="ignore"):
-            ratios = np.where(Ux[improvers] > 0, Ut[improvers] / Ux[improvers], np.inf)
-        gain = float(ratios.min())
-        if gain > best_gain:
-            best_gain = gain
-            best = Deviation(
-                coalition=tuple(int(i) for i in improvers),
-                y=Allocation(bundle * sizes, kind="integral"),
-                min_gain=gain,
-                mode="multiplicative",
-            )
-    return best
+    # U(T) and cost(T) for every bitmask T (item j is bit j), value 1 per fully
+    # funded item, built by adding items in index order as U(x) is: a bundle
+    # worth exactly U_i(x) to voter i stays a tie, never an improvement.
+    Ut, cost = np.zeros((1 << k, n)), np.zeros(1 << k)
+    for j in range(k):
+        Ut[1 << j : 2 << j] = Ut[: 1 << j] + inst.utilities[:, j]
+        cost[1 << j : 2 << j] = cost[: 1 << j] + sizes[j]
+    fx = Saturating(inst.utilities, sizes).f(allocation_vector(x))
+    Ux = sum(fx[j] * inst.utilities[:, j] for j in range(k))
+    improves = Ut > (1.0 + epsilon_mult) * Ux
+    count = improves.sum(axis=1)
+    # cost > 0 drops the empty bundle, and then (count / n) B >= cost needs
+    # at least one improver.
+    rows = np.flatnonzero((cost > 0) & (cost <= B) & ((count / n) * B >= cost))
+    if rows.size == 0:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(Ux > 0, Ut[rows] / Ux, np.inf)
+    gain = np.where(improves[rows], ratios, np.inf).min(axis=1)
+    i = int(np.argmax(gain))
+    return Deviation(
+        coalition=tuple(int(v) for v in np.flatnonzero(improves[rows[i]])),
+        y=Allocation(((rows[i] >> np.arange(k)) & 1) * sizes, kind="integral"),
+        min_gain=float(gain[i]),
+        mode="multiplicative",
+    )

@@ -322,7 +322,8 @@ def proportional_fairness_point(
     the shifted instance's equilibrium residuals, so stopping the solver at
     residual tolerance ``tol / n`` stops it once the inner maximum at x is
     within ``tol`` of n.  That certifies the score is within n^(-gamma) * tol
-    of its maximum value n - n^(1-gamma).
+    of its maximum value n - n^(1-gamma).  A solver that stops short of that
+    raises :class:`MechanismError` rather than return an uncertified point.
     """
     _require_normalized(inst)
     fs = FeasibleSet(inst.n, inst.k, cfg.gamma)
@@ -335,6 +336,11 @@ def proportional_fairness_point(
     res = solve_proportional_fairness(
         shifted, Linear(shifted.utilities), SolverConfig(residual_tol=tol / inst.n)
     )
+    if not res.converged:
+        raise MechanismError(
+            f"fairness-point solver stopped short of tol {tol:.3g}; the inner-max "
+            f"gap there is {inst.n * float(res.residuals.max()):.3g}"
+        )
     return lb + res.x.x
 
 

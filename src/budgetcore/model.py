@@ -509,27 +509,34 @@ class SmoothedSaturating(_ScalarSeparable):
                           integral=integral, ratio_prime=ratio_prime)
 
 
+# The one parameter each family takes (None: it takes none).
+_FAMILY_PARAM = {"linear": None, "powersum": "alpha", "cobbdouglas": None, "saturating": None,
+                 "smoothed": "eps_smooth", "smoothedsaturating": "eps_smooth"}
+
+
 def make_model(inst: Instance, family: str, **params) -> UtilityModel:
     """Build a utility family from an instance. Size-based families pull
-    ``inst.sizes`` and raise :class:`ModelError` when the instance has none."""
+    ``inst.sizes`` and raise :class:`ModelError` when the instance has none; a
+    missing parameter, or one the family does not take, is a ModelError too."""
     family = family.lower().replace("-", "").replace("_", "")
+    if family not in _FAMILY_PARAM:
+        raise ModelError(f"unknown utility family {family!r}")
+    allowed = _FAMILY_PARAM[family]
+    for key in sorted(set(params) - {allowed}):
+        takes = f"takes only {allowed!r}" if allowed else "takes no parameters"
+        raise ModelError(f"unknown parameter {key!r} for utility family {family!r}, which {takes}")
+    value = params.get(allowed)
+    if allowed and value is None:
+        raise ModelError(f"utility family {family!r} needs the parameter {allowed!r}")
     if family == "linear":
         return Linear(inst.utilities)
     if family == "powersum":
-        alpha = params.get("alpha")
-        if alpha is None:
-            raise ModelError("powersum needs per-item exponents alpha")
-        return PowerSum(inst.utilities, alpha)
+        return PowerSum(inst.utilities, value)
     if family == "cobbdouglas":
         return CobbDouglas(inst.utilities)
     if family == "saturating":
         return Saturating(inst.utilities, inst.require_sizes())
-    if family in ("smoothed", "smoothedsaturating"):
-        eps = params.get("eps_smooth")
-        if eps is None:
-            raise ModelError("smoothed saturating needs eps_smooth")
-        return SmoothedSaturating(inst.utilities, inst.require_sizes(), eps)
-    raise ModelError(f"unknown utility family {family!r}")
+    return SmoothedSaturating(inst.utilities, inst.require_sizes(), value)
 
 
 def utility_gradient(model: UtilityModel, agent: int, x) -> np.ndarray:

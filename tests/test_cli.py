@@ -162,15 +162,30 @@ class TestCheckCore:
         assert dev["mode"] == "additive"
         assert rep["result"]["certificate"]["epsilon"] > 0.5
 
-    def test_zero_utility_voter_is_an_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("x, voter", [([0.0, 1.0], 0), ([1.0, 0.0], 4)],
+                             ids=["majority-starved", "minority-starved"])
+    def test_zero_utility_voter_certificate_unavailable(self, capsys, tmp_path, x, voter):
         # Spending nothing on everything a voter values leaves the price
-        # certificate undefined; the command reports that instead of guessing.
+        # certificate undefined: it is reported unavailable, naming the voter,
+        # and the deviation search still runs (and blocks the allocation).
         votes = self.setup_majority(capsys, tmp_path)
-        alloc = self.write_alloc(tmp_path, [0.0, 1.0])
-        rc, err = run(capsys, "check-core", "--votes", votes,
+        alloc = self.write_alloc(tmp_path, x)
+        rc, rep = run(capsys, "check-core", "--votes", votes,
                       "--allocation", alloc, "--out", str(tmp_path / "chk"))
-        assert rc == 1
-        assert err["error"]["type"] == "DegenerateAgentError"
+        assert rc == 0
+        cert = rep["result"]["certificate"]
+        assert cert["epsilon"] == "inf" and cert["budget_ok"] is False
+        assert cert["guarantee"].startswith(f"unavailable: voter {voter} ")
+        assert rep["result"]["deviation"] is not None
+
+    def test_vacuous_certificate_is_not_ok(self, capsys, tmp_path):
+        votes = self.setup_majority(capsys, tmp_path)
+        alloc = self.write_alloc(tmp_path, [0.99, 0.01])
+        rc, rep = run(capsys, "check-core", "--votes", votes,
+                      "--allocation", alloc, "--out", str(tmp_path / "chk"))
+        assert rc == 0
+        cert = rep["result"]["certificate"]
+        assert cert["epsilon"] >= 1 and cert["budget_ok"] is False
 
     def test_large_instance_skips_search(self, capsys, tmp_path):
         rc, rep = run(capsys, "gen", "--profile", "independent-bernoulli",
@@ -305,6 +320,23 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["type"] == "CliError"
         assert "'tolerance'" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["solve", "check-core"])
+    def test_unknown_model_parameter_is_an_error_report(self, capsys, tmp_path, command):
+        rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
+                      "--out", str(tmp_path / "gen"))
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"utility_model": {"family": "linear", "alpah": 0.5}}))
+        extra = []
+        if command == "check-core":
+            alloc = tmp_path / "alloc.json"
+            alloc.write_text(json.dumps({"x": [0.8, 0.2]}))
+            extra = ["--allocation", str(alloc)]
+        rc, err = run(capsys, command, "--votes", rep["artifacts"]["votes_csv"], *extra,
+                      "--config", str(config), "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert err["error"]["type"] == "ModelError"
+        assert "'alpah'" in err["error"]["message"]
 
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",

@@ -311,6 +311,13 @@ class TestFairnessPoint:
         value, _ = inner_max(inst, x, cfg)
         assert value - n <= 1e-8 * n**gamma
 
+    def test_unreachable_tol_raises(self):
+        # 1e-13 on the inner-max gap is below what float64 reaches at this
+        # size; the point must not come back silently above it.
+        inst = normalize_instance(gen_synthetic("k-approval", n=2054, k=10, seed=3))
+        with pytest.raises(MechanismError, match=r"short of tol 1e-13; the inner-max gap"):
+            proportional_fairness_point(inst, MechanismConfig(gamma=0.5), tol=1e-13)
+
     def test_inner_gap_is_n_times_shifted_residual(self):
         # On the face sum(x) = 1, x = lb + w, the inner-max gap equals n times
         # the largest equilibrium residual of the instance u + lb/slack with

@@ -397,3 +397,18 @@ class TestMakeModel:
     def test_unknown_family(self):
         with pytest.raises(ModelError, match="unknown"):
             make_model(random_instance(), "quadratic")
+
+    @pytest.mark.parametrize("family, params, stray", [
+        ("linear", {"alpah": 0.5}, "alpah"),
+        ("linear", {"alpha": 0.5}, "alpha"),
+        ("powersum", {"alpha": 0.5, "eps_smooth": 0.1}, "eps_smooth"),
+        ("cobb-douglas", {"alpha": 0.5}, "alpha"),
+        ("saturating", {"eps_smooth": 0.1}, "eps_smooth"),
+        ("smoothed", {"eps_smooth": 0.1, "alpha": 0.5}, "alpha"),
+    ])
+    def test_unknown_parameter_named(self, family, params, stray):
+        # Each family takes only its own parameter; a stray key (a typo, or
+        # another family's knob) is an error naming it, never silently dropped.
+        inst = Instance(utilities=np.full((3, 4), 0.25), budget=1.0, sizes=np.ones(4))
+        with pytest.raises(ModelError, match=f"unknown parameter '{stray}'"):
+            make_model(inst, family, **params)
