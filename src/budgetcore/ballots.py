@@ -15,10 +15,9 @@ approval models.  All are deterministic per seed.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -40,13 +40,13 @@ from .aggregation import (
     rank_and_round,
     vote_counts,
 )
-from .ballots import BallotError, gen_synthetic, parse_votes, write_votes
+from .ballots import gen_synthetic, parse_votes, write_votes
 from .coreverify import (
     InstanceTooLarge,
     certify_from_residual,
     find_deviation_continuous,
 )
-from .lindahl import SolverConfig, lindahl_residuals, solve_potential, solve_proportional_fairness
+from .lindahl import SolverConfig, solve_potential, solve_proportional_fairness
 from .mechanism import MechanismConfig, MechanismError, approximation_certificate, sample_mechanism
 from .model import Allocation, Instance, UtilityModel, make_model
 from .saturating import HeuristicConfig, heuristic_solve

@@ -7,24 +7,25 @@ The fair (core) allocation is characterized item-by-item: for every item j,
 with equality whenever x_j > 0.  ``lindahl_residuals`` reports the signed gap
 of that condition per item; the solvers drive it to zero.
 
-Two deterministic routes are provided: ``solve_proportional_fairness`` works in
-allocation space for degree-1 homogeneous families (where the equilibrium is
-the proportional-fairness point), and ``solve_potential`` works in
-marginal-spend space, maximizing the concave potential
+``solve_potential`` is the one numerical route.  It works in marginal-spend
+space, maximizing the concave potential
 
     Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j),
 
-whose stationary points satisfy the condition above.  ``sgd_elicitation`` is
-the query-limited variant: each round asks one sampled voter only for the
-*direction* of their utility gradient (the unit-ball best response) and takes
-an unbiased stochastic ascent step.  ``recover_prices`` turns a solution into
-supporting per-voter price vectors.
+whose stationary points satisfy the condition above.  For linear utilities
+z = x and Phi is the proportional-fairness objective, so
+``solve_proportional_fairness`` (degree-1 homogeneous families) hands linear
+instances to it and returns Cobb-Douglas equilibria in closed form.
+``sgd_elicitation`` is the query-limited variant: each round asks one sampled
+voter only for the *direction* of their utility gradient (the unit-ball best
+response) and takes an unbiased stochastic ascent step.  ``recover_prices``
+turns a solution into supporting per-voter price vectors.
 
 The randomized mechanism's fairness point over its floored simplex is also
-found by ``solve_proportional_fairness``: shifting every linear utility by
-floor/slack turns it into the proportional-fairness point of a budget-slack
-instance (see ``budgetcore.mechanism.proportional_fairness_point``), so this
-module holds the package's one projected-ascent engine.
+found by ``solve_potential``: shifting every linear utility by floor/slack
+turns it into the proportional-fairness point of a budget-slack instance (see
+``budgetcore.mechanism.proportional_fairness_point``), so this module holds the
+package's one projected-ascent engine.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .model import (
     Allocation,
+    CobbDouglas,
     Instance,
     ModelError,
     UtilityModel,
@@ -47,7 +49,6 @@ __all__ = [
     "LindahlResult",
     "PriceVectors",
     "DegenerateAgentError",
-    "LineSearchError",
     "lindahl_residuals",
     "solve_proportional_fairness",
     "solve_potential",
@@ -77,10 +78,6 @@ class DegenerateAgentError(ValueError):
             f"voter {agent} has sum_m u_im x_m f_m'(x_m) = 0; "
             "the equilibrium condition is undefined at this allocation"
         )
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking shrank the step below the useful range without progress."""
 
 
 @dataclass
@@ -164,10 +161,10 @@ class _Ascent:
     grad: Callable[[np.ndarray], np.ndarray]
     violation: Callable[[np.ndarray], float]
     floor: float
-    # Optimal multiplier for the ray search max_c value(c * v); None disables.
-    ray_scale: Optional[Callable[[np.ndarray], float]] = None
+    # Optimal multiplier for the ray search max_c value(c * v).
+    ray_scale: Callable[[np.ndarray], float]
     # Negated-curvature matrix -H(v) (positive semidefinite), for the polish.
-    neg_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    neg_hessian: Callable[[np.ndarray], np.ndarray]
 
 
 def _polish(prob: _Ascent, v: np.ndarray, it: int, trace: list, cfg: SolverConfig):
@@ -189,7 +186,7 @@ def _polish(prob: _Ascent, v: np.ndarray, it: int, trace: list, cfg: SolverConfi
         free = (v > _FUNDED_FLOOR_MULT * prob.floor) | (g > 0)
         d = np.zeros_like(v)
         solved = False
-        if prob.neg_hessian is not None and np.any(free):
+        if np.any(free):
             A = prob.neg_hessian(v)[np.ix_(free, free)]
             damp = 1e-14 * max(np.trace(A) / A.shape[0], 1.0)
             try:
@@ -227,13 +224,12 @@ def _run_ascent(prob: _Ascent, v0: np.ndarray, cfg: SolverConfig):
     since_progress = 0
     while it < cfg.max_iters:
         it += 1
-        if prob.ray_scale is not None:
-            c = prob.ray_scale(v)
-            if np.isfinite(c) and c > 0:
-                vc = np.maximum(c * v, prob.floor)
-                valc = prob.value(vc)
-                if valc >= val:
-                    v, val = vc, valc
+        c = prob.ray_scale(v)
+        if np.isfinite(c) and c > 0:
+            vc = np.maximum(c * v, prob.floor)
+            valc = prob.value(vc)
+            if valc >= val:
+                v, val = vc, valc
         viol = prob.violation(v)
         trace.append((it, viol))
         if viol <= cfg.residual_tol:
@@ -267,22 +263,15 @@ def _condition_violation(res: np.ndarray, funded: np.ndarray) -> float:
     return float(over.max())
 
 
-def _allocation_violation(
-    inst: Instance, model: UtilityModel, x: np.ndarray, floor: float
-) -> float:
-    """The convergence metric at an allocation, with items near the floor unfunded."""
-    res = lindahl_residuals(inst, model, x)
-    return _condition_violation(res, x > _FUNDED_FLOOR_MULT * floor)
-
-
 def solve_proportional_fairness(
     inst: Instance, model: UtilityModel, cfg: Optional[SolverConfig] = None
 ) -> LindahlResult:
     """Equilibrium for degree-1 homogeneous families (linear, Cobb-Douglas).
 
-    For these families the equilibrium coincides with the proportional-fairness
-    point, the maximizer of sum_i log U_i(x) over {x >= 0, sum x <= B}; the
-    budget constraint enters as the exact linear penalty (n/B) sum_j x_j.
+    Here the equilibrium is the proportional-fairness point, the maximizer of
+    sum_i log U_i(x) over {x >= 0, sum x <= B}.  For Cobb-Douglas it has the
+    closed form x_j = (B/n) sum_i a_ij (floored at ``z_floor``; no iterations);
+    linear utilities are the case z = x of :func:`solve_potential`.
     """
     cfg = cfg or SolverConfig()
     if not model.homogeneous:
@@ -290,41 +279,15 @@ def solve_proportional_fairness(
             "proportional fairness equals the equilibrium only for degree-1 "
             "homogeneous families; use solve_potential for this model"
         )
-    n, k, B = inst.n, inst.k, inst.budget
-    floor = cfg.floor_for(B)
-
-    def value(x):
-        U = model.utilities_all(x)
-        return float(np.log(U).sum() - (n / B) * x.sum())
-
-    def grad(x):
-        U = model.utilities_all(x)
-        return model.gradients_all(x).T @ (1.0 / U) - (n / B)
-
-    def neg_hessian(x):
-        from .model import CobbDouglas
-
-        if isinstance(model, CobbDouglas):
-            # log U_i is separable in log x, so the curvature is diagonal.
-            return np.diag(model.u.sum(axis=0) / x**2)
-        U = model.utilities_all(x)
-        uw = model.u / U[:, None]
-        return uw.T @ uw
-
-    prob = _Ascent(
-        value=value,
-        grad=grad,
-        violation=lambda x: _allocation_violation(inst, model, x, floor),
-        floor=floor,
-        ray_scale=lambda x: B / x.sum(),
-        neg_hessian=neg_hessian,
-    )
-    x0 = np.full(k, B / k)
-    xv, iters, converged, trace = _run_ascent(prob, x0, cfg)
+    if not isinstance(model, CobbDouglas):
+        return solve_potential(inst, model, cfg)
+    floor = cfg.floor_for(inst.budget)
+    xv = np.maximum((inst.budget / inst.n) * model.u.sum(axis=0), floor)
     res = lindahl_residuals(inst, model, xv)
+    viol = _condition_violation(res, xv > _FUNDED_FLOOR_MULT * floor)
     return LindahlResult(
-        x=Allocation(xv), residuals=res, iterations=iters, converged=converged,
-        objective_trace=trace,
+        x=Allocation(xv), residuals=res, iterations=0,
+        converged=viol <= cfg.residual_tol, objective_trace=[(0, viol)],
     )
 
 
@@ -379,6 +342,8 @@ def solve_potential(
                     return 1.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats: no halving can move the bracket
+                break
             if lhs(mid) < 1.0:
                 lo = mid
             else:
@@ -458,7 +423,8 @@ def sgd_elicitation(
         g = d / max(float(x @ d), clamp) - 1.0 / B
         x = _project_budget_box(x + step_of(t) * g, floor, B)
         if t % checkpoint == 0 or t == rounds:
-            trace.append((t, _allocation_violation(inst, model, x, floor)))
+            res = lindahl_residuals(inst, model, x)
+            trace.append((t, _condition_violation(res, x > _FUNDED_FLOOR_MULT * floor)))
 
     final_viol = trace[-1][1]
     return LindahlResult(

@@ -21,8 +21,7 @@ The score peaks at the proportional-fairness point of ``P``.  Shifting every
 utility by n^(-gamma) / slack turns that point into the unconstrained
 proportional-fairness point of a budget-``slack`` instance, so
 :func:`proportional_fairness_point` solves it with
-:func:`budgetcore.lindahl.solve_proportional_fairness` instead of an optimizer
-of its own.
+:func:`budgetcore.lindahl.solve_potential` instead of an optimizer of its own.
 
 The sampler is hit-and-run: pick a random direction, intersect it with ``P``,
 and resample the position along that chord from the restricted density.  The
@@ -41,7 +40,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lindahl import SolverConfig, solve_proportional_fairness
+from .lindahl import SolverConfig, solve_potential
 from .model import Allocation, Instance, Linear, allocation_vector
 
 __all__ = [
@@ -317,9 +316,10 @@ def proportional_fairness_point(
     Write x = lb + w with w >= 0.  On the face sum(w) = slack, where the
     maximizer lies, each voter's utility is (u_i + lb/slack) . w, so the
     maximizer is lb plus the proportional-fairness point of that shifted
-    instance with budget ``slack``, which :func:`solve_proportional_fairness`
-    computes.  On the face the inner maximum equals n + n * max_j r_j, with r
-    the shifted instance's equilibrium residuals, so stopping the solver at
+    instance with budget ``slack``, which :func:`solve_potential` computes
+    (for linear utilities its marginal spends are the allocation itself).  On
+    the face the inner maximum equals n + n * max_j r_j, with r the shifted
+    instance's equilibrium residuals, so stopping the solver at
     residual tolerance ``tol / n`` stops it once the inner maximum at x is
     within ``tol`` of n.  That certifies the score is within n^(-gamma) * tol
     of its maximum value n - n^(1-gamma).  A solver that stops short of that
@@ -333,7 +333,7 @@ def proportional_fairness_point(
         tol = 1e-8 * inst.n ** cfg.gamma
     lb, slack = fs.lower_bound, fs.slack
     shifted = Instance(utilities=inst.utilities + lb / slack, budget=slack)
-    res = solve_proportional_fairness(
+    res = solve_potential(
         shifted, Linear(shifted.utilities), SolverConfig(residual_tol=tol / inst.n)
     )
     if not res.converged:

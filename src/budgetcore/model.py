@@ -7,7 +7,7 @@ marginal spend ``z_j = x_j * f_j'(x_j)``, packaged as :class:`ZTransform`.
 
 Utilities are additive across items, ``U_i(x) = sum_j u_ij * f_j(x_j)``, except
 for the Cobb-Douglas family which is the product form ``prod_j x_j^{a_ij}``
-(degree-1 homogeneous, handled by the proportional-fairness fast path).
+(degree-1 homogeneous; its equilibrium has a closed form).
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class UtilityModel(abc.ABC):
         if np.any(u < 0) or not np.all(np.isfinite(u)):
             raise ModelError("utility matrix must be nonnegative and finite")
         self.u = _readonly(u)
-        #: True when U_i is homogeneous of degree one, enabling the
-        #: proportional-fairness fast path.
+        #: True when U_i is homogeneous of degree one, so the equilibrium is
+        #: the proportional-fairness point.
         self.homogeneous = False
 
     @property
@@ -263,6 +263,14 @@ class UtilityModel(abc.ABC):
             raise ValueError(f"allocation has {xv.size} items, expected {self.k}")
 
 
+def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """u * f'(x), with 0 where u is 0 even if f'(x) is inf (x^a, a < 1, at x = 0)."""
+    if np.all(np.isfinite(fp)):
+        return u * fp
+    with np.errstate(invalid="ignore"):
+        return np.where(u > 0, u * fp, 0.0)
+
+
 class _ScalarSeparable(UtilityModel):
     """U_i(x) = sum_j u_ij f_j(x_j); families supply f, f', and x f'(x)."""
 
@@ -285,11 +293,11 @@ class _ScalarSeparable(UtilityModel):
         return self.f(np.asarray(X, dtype=float)) @ self.u.T
 
     def gradients_all(self, x: np.ndarray) -> np.ndarray:
-        return self.u * self.fprime(allocation_vector(x))[None, :]
+        return _weighted_slopes(self.u, self.fprime(allocation_vector(x)))
 
     def gradient(self, agent: int, x) -> np.ndarray:
         self._check(agent, x)
-        return self.u[agent] * self.fprime(allocation_vector(x))
+        return _weighted_slopes(self.u[agent], self.fprime(allocation_vector(x)))
 
     def marginal_spend_all(self, x: np.ndarray) -> np.ndarray:
         return self.u @ self.zvec(allocation_vector(x))
@@ -411,10 +419,6 @@ class CobbDouglas(UtilityModel):
             raise ModelError("Cobb-Douglas gradient needs strictly positive x")
         U = self.utilities_all(xv)
         return self.u * (U[:, None] / xv[None, :])
-
-    def gradient(self, agent: int, x) -> np.ndarray:
-        self._check(agent, x)
-        return self.gradients_all(x)[agent].copy()
 
     def marginal_spend_all(self, x) -> np.ndarray:
         # Euler: sum_j x_j dU/dx_j = U for degree-1 homogeneous utilities.

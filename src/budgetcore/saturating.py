@@ -34,7 +34,6 @@ from .model import (
     Instance,
     Saturating,
     SmoothedSaturating,
-    allocation_vector,
 )
 
 __all__ = [

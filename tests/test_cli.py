@@ -1,11 +1,16 @@
 """End-to-end command-line runs, in process, against temp directories."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import budgetcore
 from budgetcore.cli import CliError, ElectionConfig, main
 from budgetcore.ballots import parse_votes
 
@@ -102,6 +107,20 @@ class TestSolve:
             del rep["timing"]
             reports.append(rep)
         assert reports[0] == reports[1]
+
+    def test_cobb_douglas_closed_form(self, capsys, tmp_path):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("voter_id,a,b,c\nv0,0.5,0.25,0.25\nv1,0.2,0.3,0.5\n"
+                         "v2,0.6,0.4,0\nv3,0.1,0.1,0.8\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"budget": 4.0, "utility_model": {"family": "cobbdouglas"}}))
+        rc, rep = run(capsys, "solve", "--votes", str(votes), "--config", str(config),
+                      "--out", str(tmp_path / "s"))
+        assert rc == 0
+        res = rep["result"]
+        assert res["iterations"] == 0 and res["converged"] is True
+        # x_j = (B/n) sum_i a_ij with B/n = 1: the column sums.
+        assert res["allocation"]["x"] == pytest.approx([1.4, 1.05, 1.55], abs=1e-12)
 
 
 class TestSolveSat:
@@ -439,3 +458,18 @@ class TestVersion:
         rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5")
         assert rc == 0
         assert (tmp_path / "envout" / "votes.csv").exists()
+
+
+class TestReadme:
+    def test_command_block_runs_as_printed(self, tmp_path):
+        readme = Path(__file__).parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        script = 'set -e\nbudgetcore() { "$PYTHON" -m budgetcore.cli "$@" > /dev/null; }\n' + block
+        src = str(Path(budgetcore.__file__).parents[1])
+        env = dict(os.environ, PYTHON=sys.executable,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(["sh", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "demo" / "report.json").read_text())["command"] == "mechanism"

@@ -7,9 +7,11 @@ Reference points used here, all derivable by hand:
   proportional-fairness program is separable in log x);
 * a single voter with power utilities -> x_j proportional to u_j^{1/(1-a)}.
 
-The two solver routes (allocation space, marginal-spend space) must agree on
-instances where both apply.
+The entry points ``solve_proportional_fairness`` and ``solve_potential`` must
+agree on instances where both apply.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +89,17 @@ class TestResiduals:
         with pytest.raises(DegenerateAgentError, match="voter 1"):
             lindahl_residuals(inst, Linear(inst.utilities), np.array([1.0, 0.0]))
 
+    def test_power_sum_zero_spend_is_infinite_not_nan(self):
+        # Voter 1's marginal value of the unfunded item is infinite; voter 0
+        # puts no weight on it, which must not make 0 * inf = NaN.
+        inst = Instance(utilities=[[1.0, 0.0], [0.5, 0.5]], budget=1.0)
+        model = PowerSum(inst.utilities, 0.5)
+        x = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lindahl_residuals(inst, model, x).tolist() == [0.0, np.inf]
+            assert model.gradient(0, x).tolist() == [0.5, 0.0]
+
 
 # ---------------------------------------------------------------------------
 # Proportional-fairness route
@@ -110,6 +123,16 @@ class TestProportionalFairness:
             expect = (inst.budget / inst.n) * inst.utilities.sum(axis=0)
             assert result.converged
             assert np.max(np.abs(result.x.x - expect)) <= 1e-6
+
+    def test_cobb_douglas_unweighted_item_sits_at_floor(self):
+        e = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.7, 0.3, 0.0]])
+        inst = Instance(utilities=e, budget=3.0)
+        cfg = SolverConfig()
+        result = solve_proportional_fairness(inst, CobbDouglas(e), cfg)
+        assert result.converged and result.iterations == 0
+        assert result.x.x[:2] == pytest.approx([1.4, 1.6], abs=1e-12)
+        assert result.x.x[2] == cfg.floor_for(3.0)
+        assert result.residuals[2] == -1.0
 
     def test_residual_tolerance_met(self):
         inst = disjoint_instance([4, 3, 3], budget=1.0)
