@@ -324,8 +324,13 @@ def solve_potential(
         return _condition_violation(res, z > _FUNDED_FLOOR_MULT * floor)
 
     def ray_scale(z):
-        # Root of the 1-D optimality condition (c/B) * sum_j ratio(c z) z = 1;
-        # the left side is nondecreasing in c, so bisect after bracketing.
+        # Root of the 1-D optimality condition (c/B) * sum_j ratio(c z) z = 1.
+        # Degree-1 homogeneous utilities have a constant ratio, so the root is
+        # closed-form; otherwise the left side is nondecreasing in c, so
+        # bisect after bracketing.
+        if model.homogeneous:
+            return B / float(zt.ratio(z) @ z)
+
         def lhs(c):
             return (c / B) * float(zt.ratio(c * z) @ z)
 

@@ -265,8 +265,6 @@ class UtilityModel(abc.ABC):
 
 def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """u * f'(x), with 0 where u is 0 even if f'(x) is inf (x^a, a < 1, at x = 0)."""
-    if np.all(np.isfinite(fp)):
-        return u * fp
     with np.errstate(invalid="ignore"):
         return np.where(u > 0, u * fp, 0.0)
 

@@ -465,7 +465,8 @@ class TestReadme:
         readme = Path(__file__).parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
         block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-        script = 'set -e\nbudgetcore() { "$PYTHON" -m budgetcore.cli "$@" > /dev/null; }\n' + block
+        script = ('set -e\npython3() { "$PYTHON" "$@"; }\n'
+                  'budgetcore() { python3 -m budgetcore.cli "$@" > /dev/null; }\n' + block)
         src = str(Path(budgetcore.__file__).parents[1])
         env = dict(os.environ, PYTHON=sys.executable,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

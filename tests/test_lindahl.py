@@ -5,10 +5,13 @@ Reference points used here, all derivable by hand:
 * disjoint voter groups with linear utilities -> x_j = B * n_j / n;
 * Cobb-Douglas -> x_j = (B/n) * sum_i a_ij (first-order condition of the
   proportional-fairness program is separable in log x);
-* a single voter with power utilities -> x_j proportional to u_j^{1/(1-a)}.
+* a single voter with power utilities -> x_j proportional to u_j^{1/(1-a)};
+* 4 voters on item 0, 2 on item 1, 3 valuing items 0 and 1 alike and 1 on
+  item 2, linear -> x = B * (0.6, 0.3, 0.1) (the first two first-order
+  conditions give x_0 = 2 x_1, the third x_2 = x_1 / 3).
 
 The entry points ``solve_proportional_fairness`` and ``solve_potential`` must
-agree on instances where both apply.
+both reach these where they apply.
 """
 
 import warnings
@@ -151,13 +154,19 @@ class TestProportionalFairness:
         assert result.x.total() == pytest.approx(7.0, rel=1e-9)
 
     def test_trace_records_violation_decay(self):
-        inst = cd_instance(n=30, k=5, seed=1)
-        result = solve_proportional_fairness(inst, CobbDouglas(inst.utilities))
+        # Linear solves iterate; the Cobb-Douglas closed form records one entry.
+        rng = np.random.default_rng(1)
+        u = rng.uniform(0.05, 1.0, size=(30, 5))
+        result = solve_proportional_fairness(Instance(utilities=u, budget=2.0), Linear(u))
         trace = result.objective_trace
-        assert trace and all(len(row) == 2 for row in trace)
+        assert len(trace) > 1 and all(len(row) == 2 for row in trace)
         iters = [it for it, _ in trace]
         assert iters == sorted(iters)
-        assert trace[-1][1] <= 1e-8
+        assert trace[-1][1] <= 1e-8 < trace[0][1]
+        inst = cd_instance(n=30, k=5, seed=1)
+        result = solve_proportional_fairness(inst, CobbDouglas(inst.utilities))
+        assert result.objective_trace == [(0, result.objective_trace[0][1])]
+        assert result.objective_trace[0][1] <= 1e-8
 
     def test_moderately_large_instance_is_fast(self):
         import time
@@ -178,13 +187,16 @@ class TestProportionalFairness:
 
 class TestPotentialSolver:
     def test_agrees_with_fast_path_on_linear(self):
-        rng = np.random.default_rng(7)
-        u = rng.uniform(0.05, 1.0, size=(40, 5))
+        # Both entry points against the hand-derived overlapping-groups
+        # equilibrium B * (0.6, 0.3, 0.1) from the module docstring.
+        rows = [[1, 0, 0]] * 4 + [[0, 1, 0]] * 2 + [[1, 1, 0]] * 3 + [[0, 0, 1]]
+        u = np.array(rows, dtype=float)
         inst = Instance(utilities=u, budget=3.0)
-        a = solve_proportional_fairness(inst, Linear(u))
-        b = solve_potential(inst, Linear(u))
-        assert a.converged and b.converged
-        assert np.max(np.abs(a.x.x - b.x.x)) <= 1e-6
+        expect = 3.0 * np.array([0.6, 0.3, 0.1])
+        for solve in (solve_proportional_fairness, solve_potential):
+            result = solve(inst, Linear(u))
+            assert result.converged
+            assert np.max(np.abs(result.x.x - expect)) <= 1e-6
 
     def test_single_voter_power_closed_form(self):
         # One voter, equal exponents a: the equilibrium maximizes the voter's
