@@ -302,7 +302,10 @@ def _read_allocation(path, k: int) -> np.ndarray:
         raw = json.load(fh)
     if isinstance(raw, dict):
         raw = raw.get("x", raw.get("allocation"))
-    x = np.asarray(raw, dtype=float).reshape(-1)
+    try:
+        x = Allocation(np.asarray(raw, dtype=float)).x
+    except (TypeError, ValueError) as e:
+        raise CliError(f"allocation file {path}: {e}") from None
     if x.size != k:
         raise CliError(f"allocation file has {x.size} entries, expected {k}")
     return x

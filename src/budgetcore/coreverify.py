@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lindahl import DegenerateAgentError, lindahl_residuals
+from .lindahl import DegenerateAgentError, condition_violation, lindahl_residuals
 from .model import Allocation, Instance, Saturating, UtilityModel, allocation_vector
 
 __all__ = [
@@ -85,25 +85,22 @@ class Deviation:
     mode: str
 
 
-def certify_from_residual(
-    inst: Instance, model: UtilityModel, x, funded_tol: Optional[float] = None
-) -> CoreCertificate:
+def certify_from_residual(inst: Instance, model: UtilityModel, x) -> CoreCertificate:
     """Approximation bound from the equilibrium residuals: eps is the largest
-    two-sided residual on funded items / positive part on unfunded ones.
+    two-sided residual on funded items / positive part on unfunded ones, under
+    the solvers' own funded rule (:func:`budgetcore.lindahl.condition_violation`).
 
     eps >= 1 certifies nothing, since every budget (|S|/n - eps) B is empty;
     nor does a non-finite residual (say, 0 * inf in a gradient at a zero
     spend), which gives eps = inf, or a voter with zero marginal spend, whose
     residual is undefined (the guarantee then names the voter)."""
     xv = allocation_vector(x)
-    tol = 1e-11 * inst.budget if funded_tol is None else funded_tol
     total = float(xv.sum())
     try:
         res = lindahl_residuals(inst, model, xv)
     except DegenerateAgentError as e:
         return CoreCertificate(np.inf, total, np.inf, f"unavailable: {e}")
-    funded = xv > tol
-    eps = float(np.where(funded, np.abs(res), np.maximum(res, 0.0)).max())
+    eps = condition_violation(res, xv, inst.budget)
     if not np.isfinite(eps):
         eps = np.inf
     if eps >= 1.0:

@@ -5,7 +5,9 @@ The fair (core) allocation is characterized item-by-item: for every item j,
     (B/n) * sum_i [ u_ij f_j'(x_j) / sum_m u_im x_m f_m'(x_m) ]  <=  1,
 
 with equality whenever x_j > 0.  ``lindahl_residuals`` reports the signed gap
-of that condition per item; the solvers drive it to zero.
+of that condition per item; the solvers drive it to zero.  ``condition_violation``
+holds the one funded rule, in spend space (x_j > 10 * 1e-12 * B, a decade above
+the solvers' spend floor), for every solver and the core certificate alike.
 
 ``solve_potential`` is the one numerical route.  It works in marginal-spend
 space, maximizing the concave potential
@@ -50,6 +52,7 @@ __all__ = [
     "PriceVectors",
     "DegenerateAgentError",
     "lindahl_residuals",
+    "condition_violation",
     "solve_proportional_fairness",
     "solve_potential",
     "sgd_elicitation",
@@ -59,8 +62,9 @@ __all__ = [
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MIN_STEP = 1e-16
-# Items whose variable sits within a decade of the floor are treated as
-# unfunded for the complementarity check.
+# Solver spend floor, as a fraction of B: iterates stay at or above it, so logs
+# stay finite.  An item is funded when its spend is more than a decade above it.
+_SPEND_FLOOR = 1e-12
 _FUNDED_FLOOR_MULT = 10.0
 # First-order iterations hand over to the second-order polish below this
 # violation (or when they visibly stall above it).
@@ -84,17 +88,13 @@ class DegenerateAgentError(ValueError):
 class SolverConfig:
     """Knobs for the deterministic solvers.
 
-    ``z_floor`` defaults to 1e-12 * B at solve time; it keeps iterates strictly
-    positive so logs stay finite, and doubles as the funded/unfunded threshold.
+    The spend floor (1e-12 * B) and the funded rule are not knobs: the core
+    certificate has no config, yet must judge the same items funded.
     """
 
     residual_tol: float = 1e-8
     max_iters: int = 50_000
-    z_floor: Optional[float] = None
     step_init: float = 1.0
-
-    def floor_for(self, budget: float) -> float:
-        return 1e-12 * budget if self.z_floor is None else self.z_floor
 
 
 @dataclass
@@ -119,6 +119,16 @@ def _marginal_spend(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise DegenerateAgentError(int(np.flatnonzero(bad)[0]))
     return denom
+
+
+def _funded(x, budget: float) -> np.ndarray:
+    """The one funded-item rule: spend x_j > 10 * 1e-12 * B."""
+    return allocation_vector(x) > _FUNDED_FLOOR_MULT * _SPEND_FLOOR * budget
+
+
+def condition_violation(res: np.ndarray, x, budget: float) -> float:
+    """Violation of the condition at spend x: |res| if funded, else its positive part."""
+    return float(np.where(_funded(x, budget), np.abs(res), np.maximum(res, 0.0)).max())
 
 
 def lindahl_residuals(inst: Instance, model: UtilityModel, x) -> np.ndarray:
@@ -160,7 +170,8 @@ class _Ascent:
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     violation: Callable[[np.ndarray], float]
-    floor: float
+    floor: np.ndarray
+    funded: Callable[[np.ndarray], np.ndarray]
     # Optimal multiplier for the ray search max_c value(c * v).
     ray_scale: Callable[[np.ndarray], float]
     # Negated-curvature matrix -H(v) (positive semidefinite), for the polish.
@@ -183,7 +194,7 @@ def _polish(prob: _Ascent, v: np.ndarray, it: int, trace: list, cfg: SolverConfi
             break
         it += 1
         g = prob.grad(v)
-        free = (v > _FUNDED_FLOOR_MULT * prob.floor) | (g > 0)
+        free = prob.funded(v) | (g > 0)
         d = np.zeros_like(v)
         solved = False
         if np.any(free):
@@ -257,12 +268,6 @@ def _run_ascent(prob: _Ascent, v0: np.ndarray, cfg: SolverConfig):
     return v, it, False, trace
 
 
-def _condition_violation(res: np.ndarray, funded: np.ndarray) -> float:
-    """Convergence metric: |residual| on funded items, positive part elsewhere."""
-    over = np.where(funded, np.abs(res), np.maximum(res, 0.0))
-    return float(over.max())
-
-
 def solve_proportional_fairness(
     inst: Instance, model: UtilityModel, cfg: Optional[SolverConfig] = None
 ) -> LindahlResult:
@@ -270,7 +275,7 @@ def solve_proportional_fairness(
 
     Here the equilibrium is the proportional-fairness point, the maximizer of
     sum_i log U_i(x) over {x >= 0, sum x <= B}.  For Cobb-Douglas it has the
-    closed form x_j = (B/n) sum_i a_ij (floored at ``z_floor``; no iterations);
+    closed form x_j = (B/n) sum_i a_ij (floored at 1e-12 * B; no iterations);
     linear utilities are the case z = x of :func:`solve_potential`.
     """
     cfg = cfg or SolverConfig()
@@ -281,10 +286,9 @@ def solve_proportional_fairness(
         )
     if not isinstance(model, CobbDouglas):
         return solve_potential(inst, model, cfg)
-    floor = cfg.floor_for(inst.budget)
-    xv = np.maximum((inst.budget / inst.n) * model.u.sum(axis=0), floor)
+    xv = np.maximum((inst.budget / inst.n) * model.u.sum(axis=0), _SPEND_FLOOR * inst.budget)
     res = lindahl_residuals(inst, model, xv)
-    viol = _condition_violation(res, xv > _FUNDED_FLOOR_MULT * floor)
+    viol = condition_violation(res, xv, inst.budget)
     return LindahlResult(
         x=Allocation(xv), residuals=res, iterations=0,
         converged=viol <= cfg.residual_tol, objective_trace=[(0, viol)],
@@ -296,17 +300,17 @@ def solve_potential(
 ) -> LindahlResult:
     """Equilibrium via the concave potential in marginal-spend space.
 
-    Maximizes Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over
-    z >= z_floor by projected gradient ascent with Armijo backtracking, plus an
-    exact 1-D ray search (the scalar c solving (c/B) sum_j c-scaled spend = 1)
-    accepted only when it improves Phi.  Converged means the equilibrium
-    condition holds to ``residual_tol`` (two-sided on funded items, one-sided
-    on unfunded ones).
+    Maximizes Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z at or
+    above the spend floor mapped through z_of_x, by projected gradient ascent
+    with Armijo backtracking, plus an exact 1-D ray search (the scalar c
+    solving (c/B) sum_j c-scaled spend = 1) accepted only when it improves Phi.
+    Converged means the equilibrium condition holds to ``residual_tol``
+    (two-sided on funded items, one-sided on unfunded ones).
     """
     cfg = cfg or SolverConfig()
     zt = model.z_transform()
     n, k, B = inst.n, inst.k, inst.budget
-    floor = cfg.floor_for(B)
+    floor = zt.z_of_x(np.full(k, _SPEND_FLOOR * B))
     u = model.u
 
     def value(z):
@@ -321,7 +325,10 @@ def solve_potential(
     def violation(z):
         r = zt.ratio(z)
         res = (B / n) * weights(z) / r - 1.0
-        return _condition_violation(res, z > _FUNDED_FLOOR_MULT * floor)
+        return condition_violation(res, zt.x_of_z(z), B)
+
+    def funded(z):
+        return _funded(zt.x_of_z(z), B)
 
     def ray_scale(z):
         # Root of the 1-D optimality condition (c/B) * sum_j ratio(c z) z = 1.
@@ -360,15 +367,12 @@ def solve_potential(
         return uw.T @ uw + (n / B) * np.diag(zt.ratio_prime(z))
 
     prob = _Ascent(value=value, grad=grad, violation=violation, floor=floor,
-                   ray_scale=ray_scale, neg_hessian=neg_hessian)
+                   funded=funded, ray_scale=ray_scale, neg_hessian=neg_hessian)
     z0 = zt.z_of_x(np.full(k, B / k))
     z, iters, converged, trace = _run_ascent(prob, z0, cfg)
     xv = zt.x_of_z(z)
-    res = lindahl_residuals(inst, model, xv)
-    return LindahlResult(
-        x=Allocation(xv), residuals=res, iterations=iters, converged=converged,
-        objective_trace=trace,
-    )
+    return LindahlResult(x=Allocation(xv), residuals=lindahl_residuals(inst, model, xv),
+                         iterations=iters, converged=converged, objective_trace=trace)
 
 
 def _project_budget_box(v: np.ndarray, floor: float, cap: float) -> np.ndarray:
@@ -407,7 +411,7 @@ def sgd_elicitation(
     if rounds < 1:
         raise ValueError("rounds must be positive")
     n, k, B = inst.n, inst.k, inst.budget
-    floor = cfg.floor_for(B)
+    floor = _SPEND_FLOOR * B
     clamp = B / (100.0 * k)
     if callable(step_schedule):
         step_of = step_schedule
@@ -429,13 +433,7 @@ def sgd_elicitation(
         x = _project_budget_box(x + step_of(t) * g, floor, B)
         if t % checkpoint == 0 or t == rounds:
             res = lindahl_residuals(inst, model, x)
-            trace.append((t, _condition_violation(res, x > _FUNDED_FLOOR_MULT * floor)))
-
-    final_viol = trace[-1][1]
-    return LindahlResult(
-        x=Allocation(x),
-        residuals=lindahl_residuals(inst, model, x),
-        iterations=rounds,
-        converged=final_viol <= cfg.residual_tol,
-        objective_trace=trace,
-    )
+            trace.append((t, condition_violation(res, x, B)))
+    # The last round is always a checkpoint, so ``res`` belongs to the final x.
+    return LindahlResult(x=Allocation(x), residuals=res, iterations=rounds,
+                         converged=trace[-1][1] <= cfg.residual_tol, objective_trace=trace)

@@ -1,7 +1,9 @@
 """End-to-end command-line runs, in process, against temp directories."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +15,9 @@ import pytest
 import budgetcore
 from budgetcore.cli import CliError, ElectionConfig, main
 from budgetcore.ballots import parse_votes
+from budgetcore.lindahl import SolverConfig
+from budgetcore.mechanism import MechanismConfig
+from budgetcore.saturating import HeuristicConfig
 
 
 def run(capsys, *argv):
@@ -123,6 +128,23 @@ class TestSolve:
         assert res["allocation"]["x"] == pytest.approx([1.4, 1.05, 1.55], abs=1e-12)
 
 
+    def test_readme_demo_smoothed_certificate_meets_tolerance(self, capsys, tmp_path):
+        # Items at the solver floor are unfunded to the certificate too: their
+        # one-sided residuals (about -0.08 and -0.30 here) must not count.
+        votes, config = gen_k_approval(capsys, tmp_path)
+        raw = json.loads(Path(config).read_text(encoding="utf-8"))
+        raw["utility_model"] = {"family": "smoothed", "eps_smooth": 0.1}
+        Path(config).write_text(json.dumps(raw))
+        rc, rep = run(capsys, "solve", "--votes", votes, "--config", config,
+                      "--out", str(tmp_path / "s"))
+        assert rc == 0
+        res = rep["result"]
+        assert res["converged"] is True
+        assert min(res["allocation"]["x"]) < 10 * 1e-12 * 1000.0  # unfunded: near the floor
+        assert res["certificate"]["epsilon"] <= 1e-8  # SolverConfig().residual_tol
+        assert res["certificate"]["budget_ok"] is True
+
+
 class TestSolveSat:
     def test_heuristic_run(self, capsys, tmp_path):
         votes, config = gen_k_approval(capsys, tmp_path)
@@ -216,6 +238,19 @@ class TestCheckCore:
         assert rc == 0
         assert "deviation" not in rep["result"]
         assert "k <= 4" in rep["result"]["deviation_search_skipped"]
+
+    @pytest.mark.parametrize("x", [[float("nan"), 1.0], [float("inf"), 0.0], [1.5, -0.5]],
+                             ids=["nan", "inf", "negative"])
+    def test_invalid_allocation_is_an_error_report(self, capsys, tmp_path, x):
+        rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "11",
+                      "--out", str(tmp_path / "gen"))
+        assert rc == 0
+        alloc = self.write_alloc(tmp_path, x)
+        rc, err = run(capsys, "check-core", "--votes", rep["artifacts"]["votes_csv"],
+                      "--allocation", alloc, "--out", str(tmp_path / "chk"))
+        assert rc == 1
+        assert err["error"]["type"] == "CliError"
+        assert "allocation entries must be" in err["error"]["message"]
 
     def test_requires_allocation_flag(self, capsys, tmp_path):
         votes = self.setup_majority(capsys, tmp_path)
@@ -405,6 +440,7 @@ class TestConfigParsing:
         ("solver", "tolerance"),
         ("heuristic", "max_iters"),
         ("mechanism", "steps"),
+        ("solver", "z_floor"),
     ])
     def test_unknown_block_key_rejected(self, block, key):
         with pytest.raises(CliError, match=f"unknown key '{key}' in '{block}'"):
@@ -461,6 +497,17 @@ class TestVersion:
 
 
 class TestReadme:
+    @pytest.mark.parametrize("block, config_cls", [
+        ("solver", SolverConfig), ("heuristic", HeuristicConfig), ("mechanism", MechanismConfig),
+    ])
+    def test_block_key_lists_match_config_fields(self, block, config_cls):
+        # "- `solver`, for `solve`: `residual_tol`, ...;" lists every key the
+        # block accepts: the config's fields, less the top-level `seed`.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        entry = re.split(r"[;.]\n", readme.split(f"\n- `{block}`, for ", 1)[1], 1)[0]
+        listed = re.findall(r"`(\w+)`", entry.split(":", 1)[1])
+        assert listed == [f.name for f in dataclasses.fields(config_cls) if f.name != "seed"]
+
     def test_command_block_runs_as_printed(self, tmp_path):
         readme = Path(__file__).parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]

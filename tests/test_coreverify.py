@@ -143,6 +143,17 @@ class TestCertificate:
         assert not cert.budget_ok
         assert cert.guarantee.startswith("none: eps 47.5 >= 1")
 
+    @pytest.mark.parametrize("x, eps", [
+        ((0.5, 0.5), 1 / 3),  # residuals (-1/3, +1/3)
+        ((0.45, 0.55), 1 - 1 / 1.35),  # (-0.259, +0.212): the funded item's deficit sets eps
+    ])
+    def test_funded_item_negative_residual_counts(self, x, eps):
+        # Item 0 is clearly funded, so its negative residual is judged
+        # two-sided: the certificate is not loosened to one-sided tests.
+        inst = Instance(utilities=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), budget=1.0)
+        cert = certify_from_residual(inst, Linear(inst.utilities), np.array(x))
+        assert cert.epsilon == pytest.approx(eps, rel=1e-12)
+
     def test_degenerate_voter_certifies_nothing(self):
         # Voter 4 values only item 1, which gets nothing: its residual is
         # undefined, so the certificate is unavailable and names the voter.

@@ -134,7 +134,7 @@ class TestProportionalFairness:
         result = solve_proportional_fairness(inst, CobbDouglas(e), cfg)
         assert result.converged and result.iterations == 0
         assert result.x.x[:2] == pytest.approx([1.4, 1.6], abs=1e-12)
-        assert result.x.x[2] == cfg.floor_for(3.0)
+        assert result.x.x[2] == 1e-12 * 3.0  # the solvers' spend floor, 1e-12 * B
         assert result.residuals[2] == -1.0
 
     def test_residual_tolerance_met(self):

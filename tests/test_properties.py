@@ -1,0 +1,67 @@
+"""Property tests: the solver's convergence claim and the core certificate agree.
+
+Instances are small approval-style profiles, some with items nobody values,
+so that solver outputs keep items at the spend floor; the examples are
+derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from budgetcore.coreverify import certify_from_residual, find_deviation_continuous
+from budgetcore.lindahl import SolverConfig, solve_potential, solve_proportional_fairness
+from budgetcore.model import Instance, Linear, PowerSum, SmoothedSaturating
+
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def instances(draw, max_n=10, max_k=5):
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(2, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = (rng.random((n, k)) < draw(st.floats(0.2, 0.8))).astype(float)
+    if draw(st.booleans()):
+        u *= rng.uniform(0.1, 1.0, size=(n, k))
+    if draw(st.booleans()):
+        u[:, rng.integers(k)] = 0.0  # an item nobody values sits at the floor
+    for i in np.flatnonzero(u.max(axis=1) == 0):
+        u[i, rng.integers(k)] = 1.0
+    budget = draw(st.sampled_from([1.0, 1000.0, 1e6]))
+    sizes = budget * rng.uniform(0.05, 0.5, size=k)
+    return Instance(utilities=u, budget=budget, sizes=sizes)
+
+
+@st.composite
+def models(draw, inst):
+    family = draw(st.sampled_from(["linear", "powersum", "smoothed"]))
+    if family == "linear":
+        return Linear(inst.utilities)
+    if family == "powersum":
+        return PowerSum(inst.utilities, draw(st.floats(0.2, 1.0)))
+    return SmoothedSaturating(inst.utilities, inst.sizes, draw(st.floats(0.05, 1.0)))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_converged_solve_certifies_its_tolerance(data):
+    inst = data.draw(instances())
+    model = data.draw(models(inst))
+    cfg = SolverConfig()
+    result = solve_potential(inst, model, cfg)
+    assume(result.converged)
+    assert certify_from_residual(inst, model, result.x).epsilon <= cfg.residual_tol
+    # Items the funded rule calls unfunded only need the one-sided condition.
+    unfunded = result.x.x <= 10 * 1e-12 * inst.budget
+    assert np.all(result.residuals[unfunded] <= cfg.residual_tol)
+
+
+@PROPERTY
+@given(inst=instances(max_n=8, max_k=3))
+def test_linear_solution_is_unblocked(inst):
+    model = Linear(inst.utilities)
+    result = solve_proportional_fairness(inst, model)
+    assert result.converged
+    # Additive gains scale with B; 1e-6 * B is far above what eps <= 1e-8 allows.
+    assert find_deviation_continuous(inst, model, result.x, threshold=1e-6 * inst.budget) is None
