@@ -29,8 +29,6 @@ from enum import Enum
 from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.stats import chi2 as _chi2_dist
 
 from .coreverify import Deviation, find_deviation_integral
 from .model import Allocation, AllocationKind, Instance, allocation_vector
@@ -230,6 +228,10 @@ def chi2_pairwise(inst: Instance, dof: int = 2, alpha: float = 0.1) -> Independe
     cannot be tested; they are reported separately and left out of the
     clustering.
     """
+    # Lazy: importing these at module level adds about a second to every CLI run.
+    from scipy.cluster.hierarchy import linkage
+    from scipy.stats import chi2 as _chi2_dist
+
     if dof < 1:
         raise AggregationError("dof must be at least 1")
     votes = inst.utilities > 0

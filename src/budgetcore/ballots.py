@@ -5,7 +5,9 @@ item names; each body row is a voter id plus one nonnegative utility cell per
 item (0/1 for plain approval).  Parsing is strict: wrong-arity rows,
 non-numeric cells, and voters who approve nothing are rejected with the line
 (and column) named, because silently dropping ballots would change every
-downstream quantity.
+downstream quantity.  The rows are read once, all cells are converted with
+Python ``float()`` in a single pass, and the value checks run over the whole
+matrix; when a file has several faults the first faulty line is reported.
 
 Generators produce small named families used throughout the tests and docs:
 majority/minority splits, shared-item variants, free-rider setups, and random
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,10 +33,33 @@ class BallotError(ValueError):
     """Malformed votes data; the message names the offending line/column."""
 
 
-def _open_source(source):
+def _open_source(source, mode: str = "r"):
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, mode, encoding="utf-8", newline=""), True
     return source, False
+
+
+def _raise_first_fault(rows: list, item_names: list) -> None:
+    """Check (line number, row) pairs in file order and raise for the first
+    faulty row; runs only after the one-pass check of all rows has failed."""
+    k = len(item_names)
+    for lineno, row in rows:
+        if len(row) != k + 1:
+            raise BallotError(f"line {lineno}: row has {len(row) - 1} value cells, expected {k}")
+        cells = np.empty(k)
+        for j, cell in enumerate(row[1:]):
+            try:
+                cells[j] = float(cell)
+            except ValueError:
+                raise BallotError(
+                    f"line {lineno}, column '{item_names[j]}': not a number: {cell.strip()!r}"
+                ) from None
+        if not np.all(np.isfinite(cells)) or np.any(cells < 0):
+            raise BallotError(f"line {lineno}: utilities must be finite and nonnegative")
+        if not np.any(cells > 0):
+            raise BallotError(
+                f"line {lineno}: voter {row[0].strip()!r} approves nothing (all-zero row)"
+            )
 
 
 def parse_votes(source) -> tuple[np.ndarray, list, list]:
@@ -61,38 +87,23 @@ def parse_votes(source) -> tuple[np.ndarray, list, list]:
             raise BallotError("line 1: duplicate item names in header")
 
         k = len(item_names)
-        rows: list = []
-        voter_ids: list = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != k + 1:
-                raise BallotError(
-                    f"line {lineno}: row has {len(row) - 1} value cells, expected {k}"
-                )
-            vid = row[0].strip()
-            cells = np.empty(k)
-            for j, cell in enumerate(row[1:]):
-                try:
-                    cells[j] = float(cell)
-                except ValueError:
-                    raise BallotError(
-                        f"line {lineno}, column '{item_names[j]}': "
-                        f"not a number: {cell.strip()!r}"
-                    ) from None
-            if not np.all(np.isfinite(cells)) or np.any(cells < 0):
-                raise BallotError(
-                    f"line {lineno}: utilities must be finite and nonnegative"
-                )
-            if not np.any(cells > 0):
-                raise BallotError(
-                    f"line {lineno}: voter {vid!r} approves nothing (all-zero row)"
-                )
-            voter_ids.append(vid)
-            rows.append(cells)
+        rows = [  # (line number, row), blank lines dropped
+            (lineno, row) for lineno, row in enumerate(reader, start=2)
+            if row and not (len(row) == 1 and not row[0].strip())
+        ]
+        try:
+            if any(len(row) != k + 1 for _, row in rows):
+                raise ValueError
+            cells = chain.from_iterable(row[1:] for _, row in rows)
+            matrix = np.fromiter(map(float, cells), dtype=float, count=len(rows) * k).reshape(-1, k)
+            valid = ((matrix >= 0) & (matrix < np.inf)).all() and (matrix > 0).any(axis=1).all()
+        except ValueError:  # a wrong-arity row or a cell that is not a number
+            valid = False
+        if not valid:
+            _raise_first_fault(rows, item_names)
         if not rows:
             raise BallotError("votes file has a header but no voter rows")
-        return np.stack(rows), item_names, voter_ids
+        return matrix, item_names, [row[0].strip() for _, row in rows]
     finally:
         if owned:
             fh.close()
@@ -112,11 +123,7 @@ def write_votes(
         voter_ids = [f"v{i}" for i in range(M.shape[0])]
     if len(voter_ids) != M.shape[0]:
         raise BallotError("voter_ids length does not match matrix rows")
-    fh, owned = (
-        (open(target, "w", encoding="utf-8", newline=""), True)
-        if isinstance(target, (str, Path))
-        else (target, False)
-    )
+    fh, owned = _open_source(target, "w")
     try:
         writer = csv.writer(fh)
         writer.writerow(["voter_id", *item_names])

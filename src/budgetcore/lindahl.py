@@ -113,12 +113,13 @@ class PriceVectors:
     p: np.ndarray
 
 
-def _marginal_spend(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
+def _grads_per_spend(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
+    """grad_ij / (sum_m x_m grad_im), the matrix behind residuals and prices."""
     denom = model.marginal_spend_all(xv)
     bad = ~(denom > 0) | ~np.isfinite(denom)
     if np.any(bad):
         raise DegenerateAgentError(int(np.flatnonzero(bad)[0]))
-    return denom
+    return model.gradients_all(xv) / denom[:, None]
 
 
 def _funded(x, budget: float) -> np.ndarray:
@@ -140,9 +141,7 @@ def lindahl_residuals(inst: Instance, model: UtilityModel, x) -> np.ndarray:
     xv = allocation_vector(x)
     if xv.size != inst.k:
         raise ValueError(f"allocation has {xv.size} items, expected {inst.k}")
-    denom = _marginal_spend(model, xv)
-    grads = model.gradients_all(xv)
-    lhs = (grads / denom[:, None]).sum(axis=0)
+    lhs = _grads_per_spend(model, xv).sum(axis=0)
     return (inst.budget / inst.n) * lhs - 1.0
 
 
@@ -152,10 +151,7 @@ def recover_prices(inst: Instance, model: UtilityModel, x) -> PriceVectors:
     Each voter's bundle costs exactly B/n under their prices, and the per-item
     price totals exceed 1 by at most the residual certificate.
     """
-    xv = allocation_vector(x)
-    denom = _marginal_spend(model, xv)
-    grads = model.gradients_all(xv)
-    return PriceVectors(p=(inst.budget / inst.n) * grads / denom[:, None])
+    return PriceVectors(p=(inst.budget / inst.n) * _grads_per_spend(model, allocation_vector(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,12 @@ class Allocation:
     def total(self) -> float:
         return float(self.x.sum())
 
-    def funded(self, tol: float = 0.0) -> np.ndarray:
-        """Indices of items with positive spend (strictly above ``tol``)."""
-        return np.flatnonzero(self.x > tol)
+    def funded(self) -> np.ndarray:
+        """Indices of items with positive spend."""
+        return np.flatnonzero(self.x > 0.0)
 
-    def funded_set(self, tol: float = 0.0) -> frozenset:
-        return frozenset(int(j) for j in self.funded(tol))
+    def funded_set(self) -> frozenset:
+        return frozenset(int(j) for j in self.funded())
 
     def validate_budget(self, budget: float, tol: float = 1e-9) -> None:
         if self.total() > budget * (1.0 + tol):

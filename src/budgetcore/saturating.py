@@ -16,13 +16,15 @@ convex-program route does not apply directly.  Two workarounds:
 
   should hold with equality on funded items, one-sidedly (<=) on unfunded
   ones.  Each sweep picks the item with the largest violation and restores its
-  condition exactly by bisection, first in x_j at y_j = 1/s_j, then in y_j at
+  condition by safeguarded Newton (bisection where a Newton step is unusable)
+  on a bracket around the root, first in x_j at y_j = 1/s_j, then in y_j at
   x_j = s_j if the spend saturates.  Utilities are jittered once up front to
   break degeneracies; convergence is not guaranteed and is reported honestly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -45,11 +47,11 @@ __all__ = [
     "heuristic_solve",
 ]
 
-# Lower end of the bisection bracket for the subgradient, as a fraction of the
+# Lower end of the root bracket for the subgradient, as a fraction of the
 # slope 1/s_j.  Below this the condition is judged unreachable and the item is
 # pinned at full funding.
 _Y_BRACKET_FLOOR = 1e-12
-_BISECT_MAX_ITERS = 200
+_ROOT_MAX_ITERS = 200
 
 
 @dataclass
@@ -58,6 +60,8 @@ class HeuristicConfig:
 
     ``eps_target`` defaults to 1/n and ``perturb_alpha`` to 1/k^2 at solve
     time (both depend on the instance, hence the None sentinel).
+    ``bisection_tol`` is the bracket width at which an item's root is
+    accepted, relative to max(s_j, 1) in x_j and to 1/s_j in y_j.
     """
 
     eps_target: Optional[float] = None
@@ -106,13 +110,44 @@ def solve_smoothed(
     return result, smoothing_alpha(inst.budget, float(sizes.min()), eps_smooth)
 
 
-def _condition_lhs(u_col: np.ndarray, y: float, own: np.ndarray, rest: np.ndarray,
-                   scale: float) -> float:
-    """lhs_j as a function of this item's (x_j y_j) contribution ``own``."""
-    denom = rest + own
+def _gaps(u: np.ndarray, rest: np.ndarray, x: float, y: float,
+          scale: float) -> Tuple[float, float, float, float]:
+    """(1 - 1/lhs_j, its x_j-derivative, 1 - lhs_j, its y_j-derivative) at (x, y).
+
+    ``u`` and ``rest`` hold the voters with u_ij > 0.  Each gap is decreasing
+    and convex in its variable: 1/lhs_j is a harmonic mean of affine functions
+    of x_j (linear for one voter), and lhs_j is increasing and concave in y_j.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(u_col > 0, u_col / denom, 0.0)
-    return scale * y * float(terms.sum())
+        t = u / (rest + u * x * y)  # +inf at x = 0 for a voter with rest 0
+        s1, s2 = float(t.sum()), float(t @ t)
+    lhs = scale * y * s1
+    if lhs == 0.0:
+        return -math.inf, math.nan, 1.0, math.nan
+    return 1.0 - 1.0 / lhs, -s2 / (scale * s1 * s1), 1.0 - lhs, scale * (x * y * s2 - s1)
+
+
+def _decreasing_root(h, lo: float, hi: float, at_lo: Tuple[float, float],
+                     width: float) -> float:
+    """Root of h, from a bracket around it no wider than ``width``.
+
+    h(v) -> (value, slope) is decreasing and convex, h(lo) = ``at_lo`` > 0 >=
+    h(hi), so Newton steps from lo stop at or short of the root; one that is
+    not finite or leaves the bracket anyway becomes a bisection.  A step under
+    half the width is lengthened by half a width, past the root, to close it.
+    """
+    v, (hv, dv) = lo, at_lo
+    for _ in range(_ROOT_MAX_ITERS):
+        step = -hv / dv if dv < 0.0 and math.isfinite(hv) else math.nan
+        if hi - lo <= width:
+            # Accepted: one more Newton step estimates the root inside it.
+            return v + step if lo <= v + step <= hi else 0.5 * (lo + hi)
+        if abs(step) < 0.5 * width:
+            step += 0.5 * width if hv > 0.0 else -0.5 * width
+        v = v + step if lo < v + step < hi else 0.5 * (lo + hi)
+        hv, dv = h(v)
+        lo, hi = (v, hi) if hv > 0.0 else (lo, v)
+    return 0.5 * (lo + hi)
 
 
 def _resolve_item(u_col: np.ndarray, s_j: float, rest: np.ndarray, scale: float,
@@ -122,41 +157,25 @@ def _resolve_item(u_col: np.ndarray, s_j: float, rest: np.ndarray, scale: float,
     Returns (x_j, y_j, pinned); pinned means the item saturates and no
     subgradient choice can reach equality (its lhs is then judged one-sidedly).
     """
+    support = u_col > 0
+    u, rest = u_col[support], rest[support]
     slope = 1.0 / s_j
-
-    def lhs_at_x(xj: float) -> float:
-        return _condition_lhs(u_col, slope, u_col * xj * slope, rest, scale)
-
-    if lhs_at_x(0.0) <= 1.0:
+    at_zero = _gaps(u, rest, 0.0, slope, scale)[:2]
+    if at_zero[0] <= 0.0:
         # Equality would need negative spend; the inequality holds at zero.
         return 0.0, slope, False
-    if lhs_at_x(s_j) >= 1.0:
-        # Saturates: clamp the spend and search the subgradient instead.
-        def lhs_at_y(yj: float) -> float:
-            return _condition_lhs(u_col, yj, u_col * s_j * yj, rest, scale)
-
-        lo, hi = _Y_BRACKET_FLOOR * slope, slope
-        if lhs_at_y(lo) >= 1.0:
-            return s_j, slope, True
-        for _ in range(_BISECT_MAX_ITERS):
-            if hi - lo <= tol * slope:
-                break
-            mid = 0.5 * (lo + hi)
-            if lhs_at_y(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return s_j, 0.5 * (lo + hi), False
-    lo, hi = 0.0, s_j
-    for _ in range(_BISECT_MAX_ITERS):
-        if hi - lo <= tol * max(s_j, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        if lhs_at_x(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), slope, False
+    if _gaps(u, rest, s_j, slope, scale)[0] < 0.0:
+        xj = _decreasing_root(lambda x: _gaps(u, rest, x, slope, scale)[:2],
+                              0.0, s_j, at_zero, tol * max(s_j, 1.0))
+        return xj, slope, False
+    # Saturates: clamp the spend and search the subgradient instead.
+    lo = _Y_BRACKET_FLOOR * slope
+    at_lo = _gaps(u, rest, s_j, lo, scale)[2:]
+    if at_lo[0] <= 0.0:
+        return s_j, slope, True
+    yj = _decreasing_root(lambda y: _gaps(u, rest, s_j, y, scale)[2:],
+                          lo, slope, at_lo, tol * slope)
+    return s_j, yj, False
 
 
 def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> HeuristicResult:

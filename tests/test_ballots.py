@@ -1,5 +1,6 @@
 """Votes CSV round-trips, strict parse errors, and the synthetic generators."""
 
+import csv
 import io
 
 import numpy as np
@@ -91,6 +92,126 @@ class TestParseErrors:
     def test_no_voter_rows(self):
         with pytest.raises(BallotError, match="no voter rows"):
             self.parse("voter_id,a,b\n")
+
+
+def reference_parse(source):
+    """Row-by-row votes parser: each row's cells are converted and checked
+    before the next row is read.  Kept as the reference for ``parse_votes``."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise BallotError("empty votes file: missing header row") from None
+    if not header or header[0].strip() != "voter_id":
+        raise BallotError("line 1: header must start with 'voter_id' followed by item names")
+    item_names = [c.strip() for c in header[1:]]
+    if not item_names:
+        raise BallotError("line 1: header lists no items")
+    if any(not name for name in item_names):
+        raise BallotError("line 1: empty item name in header")
+    if len(set(item_names)) != len(item_names):
+        raise BallotError("line 1: duplicate item names in header")
+    k = len(item_names)
+    rows, voter_ids = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != k + 1:
+            raise BallotError(f"line {lineno}: row has {len(row) - 1} value cells, expected {k}")
+        vid = row[0].strip()
+        cells = np.empty(k)
+        for j, cell in enumerate(row[1:]):
+            try:
+                cells[j] = float(cell)
+            except ValueError:
+                raise BallotError(
+                    f"line {lineno}, column '{item_names[j]}': not a number: {cell.strip()!r}"
+                ) from None
+        if not np.all(np.isfinite(cells)) or np.any(cells < 0):
+            raise BallotError(f"line {lineno}: utilities must be finite and nonnegative")
+        if not np.any(cells > 0):
+            raise BallotError(f"line {lineno}: voter {vid!r} approves nothing (all-zero row)")
+        voter_ids.append(vid)
+        rows.append(cells)
+    if not rows:
+        raise BallotError("votes file has a header but no voter rows")
+    return np.stack(rows), item_names, voter_ids
+
+
+POSITIVE_CELLS = ["1", " 1", "1e-3", "0.5 ", "2.5", "1_0", "+3"]
+ZERO_CELLS = ["0", "-0", " 0.0"]
+FAULTY_CELLS = ["x", "", "inf", "-inf", "nan", "-1", "1..2", "1e400"]
+
+
+def random_votes_text(rng):
+    """A votes CSV: mixed number spellings, blank lines, LF or CRLF endings,
+    and in about half the files one to three injected faults."""
+    k = int(rng.integers(1, 6))
+    rows = []
+    for _ in range(int(rng.integers(0, 30))):
+        pool = [ZERO_CELLS if rng.random() < 0.3 else POSITIVE_CELLS for _ in range(k)]
+        cells = [p[int(rng.integers(len(p)))] for p in pool]
+        cells[int(rng.integers(k))] = POSITIVE_CELLS[int(rng.integers(len(POSITIVE_CELLS)))]
+        rows.append(cells)
+    if rows and rng.random() < 0.5:
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(len(rows)))
+            fault = int(rng.integers(3))
+            if fault == 0:
+                rows[i][int(rng.integers(k))] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))]
+            elif fault == 1:
+                rows[i] = [ZERO_CELLS[int(rng.integers(len(ZERO_CELLS)))] for _ in range(k)]
+            else:
+                rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + ["1"]
+    lines = ["voter_id," + ",".join(f"item{j}" for j in range(k))]
+    for i, cells in enumerate(rows):
+        if rng.random() < 0.1:
+            lines.append("" if rng.random() < 0.5 else "   ")
+        lines.append(",".join([f" v{i}", *cells]))
+    eol = "\r\n" if rng.random() < 0.5 else "\n"
+    return eol.join(lines) + eol
+
+
+def parse_outcome(parser, text):
+    try:
+        matrix, names, ids = parser(io.StringIO(text, newline=""))
+    except BallotError as e:
+        return "error", str(e)
+    return "ok", (matrix.shape, matrix.tobytes(), names, ids)
+
+
+class TestOnePassParse:
+    def test_matches_row_by_row_reference(self):
+        kinds = ["not a number", "finite and nonnegative", "approves nothing",
+                 "value cells", "no voter rows"]
+        rng = np.random.default_rng(20240607)
+        seen = set()
+        for _ in range(300):
+            text = random_votes_text(rng)
+            got, want = parse_outcome(parse_votes, text), parse_outcome(reference_parse, text)
+            assert got == want, text
+            seen |= {"ok"} if want[0] == "ok" else {m for m in kinds if m in want[1]}
+        assert seen == {"ok", *kinds}  # clean files and every row fault occurred
+
+    def test_first_faulty_line_wins(self):
+        cases = [
+            # a non-number on line 3 beats a wrong arity on line 5
+            ("voter_id,a,b\nv0,1,0\nv1,x,1\nv2,1,1\nv3,1\n",
+             "line 3, column 'a': not a number: 'x'"),
+            # an all-zero row on line 2 beats a non-number on line 4
+            ("voter_id,a,b\nv0,0,0\nv1,1,1\nv2,1,y\n",
+             "line 2: voter 'v0' approves nothing (all-zero row)"),
+            # a negative cell on line 2 beats a wrong arity on line 3
+            ("voter_id,a,b\nv0,-1,1\nv1,1,1,1\n",
+             "line 2: utilities must be finite and nonnegative"),
+            # within one row a non-number beats a negative cell
+            ("voter_id,a,b\nv0,-1,z\n", "line 2, column 'b': not a number: 'z'"),
+        ]
+        for text, message in cases:
+            with pytest.raises(BallotError) as err:
+                parse_votes(io.StringIO(text))
+            assert str(err.value) == message
+            assert parse_outcome(reference_parse, text) == ("error", message)
 
 
 class TestFigureProfiles:

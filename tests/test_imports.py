@@ -1,6 +1,10 @@
-"""Every name a budgetcore module imports is used there or listed in its ``__all__``."""
+"""Every name a budgetcore module imports is used there or listed in its
+``__all__``, and importing the CLI leaves scipy unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,18 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats and scipy.cluster take about a second to import; only
+    # ``analyze`` (chi2_pairwise) and the tests need them.
+    code = (
+        "import sys, budgetcore.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

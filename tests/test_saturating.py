@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from budgetcore import saturating
 from budgetcore.ballots import gen_synthetic
 from budgetcore.lindahl import lindahl_residuals
 from budgetcore.model import Instance, SmoothedSaturating
@@ -158,3 +159,82 @@ class TestHeuristic:
         inst = Instance(utilities=np.ones((3, 2)), budget=1.0)
         with pytest.raises(ModelError, match="sizes"):
             heuristic_solve(inst)
+
+
+def reference_resolve(u_col, s_j, rest, scale, tol):
+    """Item re-solve by plain bisection, kept as the reference for the
+    safeguarded-Newton ``_resolve_item``."""
+
+    def lhs(y, own):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(u_col > 0, u_col / (rest + own), 0.0)
+        return scale * y * float(terms.sum())
+
+    slope = 1.0 / s_j
+    lhs_x = lambda xj: lhs(slope, u_col * xj * slope)  # noqa: E731
+    if lhs_x(0.0) <= 1.0:
+        return 0.0, slope, False
+    if lhs_x(s_j) >= 1.0:
+        lhs_y = lambda yj: lhs(yj, u_col * s_j * yj)  # noqa: E731
+        lo, hi = 1e-12 * slope, slope
+        if lhs_y(lo) >= 1.0:
+            return s_j, slope, True
+        while hi - lo > tol * slope:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if lhs_y(mid) < 1.0 else (lo, mid)
+        return s_j, 0.5 * (lo + hi), False
+    lo, hi = 0.0, s_j
+    while hi - lo > tol * max(s_j, 1.0):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lhs_x(mid) > 1.0 else (lo, mid)
+    return 0.5 * (lo + hi), slope, False
+
+
+def branch(x, s_j, pinned):
+    if x == 0.0:
+        return "unfunded"
+    if x < s_j:
+        return "interior"
+    return "pinned" if pinned else "saturating"
+
+
+class TestItemResolve:
+    def test_matches_bisection_reference(self):
+        rng = np.random.default_rng(11)
+        tol = 1e-10
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            u = rng.exponential(size=n) * (rng.random(n) < 0.7)  # zero utilities
+            rest = rng.exponential(size=n) * rng.choice([1e-3, 1.0, 10.0])
+            rest[rng.random(n) < 0.1] = 0.0  # voters who back only this item
+            s_j = float(rng.choice([0.05, 1.0, 40.0]) * rng.uniform(0.5, 2.0))
+            scale = float(np.exp(rng.uniform(-4, 3)))
+            want = reference_resolve(u, s_j, rest, scale, tol)
+            got = saturating._resolve_item(u, s_j, rest, scale, tol)
+            assert branch(got[0], s_j, got[2]) == branch(want[0], s_j, want[2])
+            assert abs(got[0] - want[0]) <= tol * max(s_j, 1.0)
+            assert abs(got[1] - want[1]) <= tol / s_j
+            seen.add(branch(want[0], s_j, want[2]))
+        assert seen == {"unfunded", "interior", "saturating", "pinned"}
+
+    def test_newton_needs_few_evaluations(self, monkeypatch):
+        evals, per_item = [0], []
+        evaluate, resolve = saturating._gaps, saturating._resolve_item
+
+        def counting_evaluate(*args):
+            evals[0] += 1
+            return evaluate(*args)
+
+        def counting_resolve(*args):
+            before = evals[0]
+            out = resolve(*args)
+            per_item.append(evals[0] - before)
+            return out
+
+        monkeypatch.setattr(saturating, "_gaps", counting_evaluate)
+        monkeypatch.setattr(saturating, "_resolve_item", counting_resolve)
+        result = heuristic_solve(gen_synthetic("k-approval", n=2000, k=10, seed=0))
+        assert result.converged and len(per_item) > 10
+        # Bisection to the 1e-10 bracket takes about 35 evaluations an item.
+        assert np.mean(per_item) <= 12 and max(per_item) <= 12
