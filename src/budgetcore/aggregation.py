@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from .ballots import _redraw_empty
 from .coreverify import Deviation, find_deviation_integral
 from .model import Allocation, AllocationKind, Instance, allocation_vector
 
@@ -206,17 +207,6 @@ class IndependenceReport:
     sample_ok: bool
 
 
-def _pearson_chi2(a: np.ndarray, b: np.ndarray) -> float:
-    n = a.size
-    n11 = int(np.sum(a & b))
-    n10 = int(np.sum(a & ~b))
-    n01 = int(np.sum(~a & b))
-    n00 = n - n11 - n10 - n01
-    row1, row0 = n11 + n10, n01 + n00
-    col1, col0 = n11 + n01, n10 + n00
-    return n * (n11 * n00 - n10 * n01) ** 2 / (row1 * row0 * col1 * col0)
-
-
 def chi2_pairwise(inst: Instance, dof: int = 2, alpha: float = 0.1) -> IndependenceReport:
     """Pairwise independence tests over approval columns, plus clustering.
 
@@ -228,9 +218,9 @@ def chi2_pairwise(inst: Instance, dof: int = 2, alpha: float = 0.1) -> Independe
     cannot be tested; they are reported separately and left out of the
     clustering.
     """
-    # Lazy: importing these at module level adds about a second to every CLI run.
+    # Lazy: over half a second to import.  chdtrc(dof, x) is chi2.sf(x, dof).
     from scipy.cluster.hierarchy import linkage
-    from scipy.stats import chi2 as _chi2_dist
+    from scipy.special import chdtrc
 
     if dof < 1:
         raise AggregationError("dof must be at least 1")
@@ -246,13 +236,18 @@ def chi2_pairwise(inst: Instance, dof: int = 2, alpha: float = 0.1) -> Independe
             stacklevel=2,
         )
 
+    # Each pair's both-approve count c comes from one Gram product (exact in
+    # float below 2**53).  With column counts a, b it fixes the 2x2 table, and
+    # Pearson's statistic stays in exact integers: n11 n00 - n10 n01 = n c - a b.
+    v = votes.astype(float)
+    both = v.T @ v
+    j, m = np.triu_indices(k, 1)
+    tested = ~(degenerate[j] | degenerate[m])
+    j, m = j[tested], m[tested]
+    counts = zip(both[j, m].astype(int).tolist(), col_sum[j].tolist(), col_sum[m].tolist())
+    stats = [n * (n * c - a * b) ** 2 / (a * (n - a) * b * (n - b)) for c, a, b in counts]
     p_values = np.full((k, k), np.nan)
-    for j in range(k):
-        for m in range(j + 1, k):
-            if degenerate[j] or degenerate[m]:
-                continue
-            stat = _pearson_chi2(votes[:, j], votes[:, m])
-            p_values[j, m] = p_values[m, j] = float(_chi2_dist.sf(stat, dof))
+    p_values[j, m] = p_values[m, j] = chdtrc(dof, np.array(stats, dtype=float))
 
     correlated = np.zeros((k, k), dtype=bool)
     with np.errstate(invalid="ignore"):
@@ -330,13 +325,9 @@ def random_model_trial(
         raise AggregationError("eps must be positive")
 
     rng = np.random.default_rng(seed)
-    votes = rng.random((n, k)) < p
     # Voters approving nothing have identically zero utility and can neither
     # gain nor block; redraw them so the instance stays well-formed at fixed n.
-    empty = ~votes.any(axis=1)
-    while empty.any():
-        votes[empty] = rng.random((int(empty.sum()), k)) < p
-        empty = ~votes.any(axis=1)
+    votes = _redraw_empty(rng.random((n, k)) < p, rng, p)
 
     selected = _descending_order(p * u)[:budget_items]
     x = np.zeros(k)

@@ -42,13 +42,15 @@ from .aggregation import (
 )
 from .ballots import gen_synthetic, parse_votes, write_votes
 from .coreverify import (
+    CoreCertificate,
     InstanceTooLarge,
     certify_from_residual,
     find_deviation_continuous,
+    residual_certificate,
 )
 from .lindahl import SolverConfig, solve_potential, solve_proportional_fairness
 from .mechanism import MechanismConfig, MechanismError, approximation_certificate, sample_mechanism
-from .model import Allocation, Instance, UtilityModel, make_model
+from .model import Allocation, Instance, make_model
 from .saturating import HeuristicConfig, heuristic_solve
 
 __all__ = ["CliError", "ElectionConfig", "main", "run_command"]
@@ -247,8 +249,7 @@ def _base_report(command: str, cfg: ElectionConfig, input_meta: dict) -> dict:
     }
 
 
-def _certificate(inst: Instance, model: UtilityModel, x) -> dict:
-    cert = certify_from_residual(inst, model, x)
+def _certificate(cert: CoreCertificate) -> dict:
     return {**asdict(cert), "budget_ok": cert.budget_ok}
 
 
@@ -271,7 +272,9 @@ def _cmd_solve(args, cfg: ElectionConfig, out_dir: Path) -> dict:
         "max_residual": float(np.max(result.residuals)),
         "iterations": result.iterations,
         "converged": result.converged,
-        "certificate": _certificate(inst, model, result.x),
+        "certificate": _certificate(
+            residual_certificate(result.residuals, result.x, inst.budget)
+        ),
     }
     return report
 
@@ -319,7 +322,7 @@ def _cmd_check_core(args, cfg: ElectionConfig, out_dir: Path) -> dict:
     model = make_model(inst, cfg.model_family, **cfg.model_params)
     report = _base_report("check-core", cfg, meta)
     report["input"]["allocation"] = str(args.allocation)
-    result = {"allocation": x, "certificate": _certificate(inst, model, x)}
+    result = {"allocation": x, "certificate": _certificate(certify_from_residual(inst, model, x))}
     try:
         dev = find_deviation_continuous(
             inst, model, x, grid_steps=args.grid, mode=args.mode, threshold=args.threshold

@@ -2,8 +2,9 @@
 
 An allocation is blocked if some coalition S could take its proportional slice
 (|S|/n) * B of the budget and spend it so that *every* member strictly gains.
-``certify_from_residual`` turns solver residuals into an approximation bound;
-the two ``find_deviation_*`` oracles search for explicit blocking coalitions by
+``residual_certificate`` turns solver residuals into an approximation bound,
+and ``certify_from_residual`` evaluates the residuals at x first; the two
+``find_deviation_*`` oracles search for explicit blocking coalitions by
 exhaustive enumeration and are deliberately independent of the solvers (grid
 search over spends, subset search over item bundles), so they can referee them.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "Deviation",
     "InstanceTooLarge",
     "certify_from_residual",
+    "residual_certificate",
     "find_deviation_continuous",
     "find_deviation_integral",
     "budget_grid",
@@ -86,26 +88,34 @@ class Deviation:
 
 
 def certify_from_residual(inst: Instance, model: UtilityModel, x) -> CoreCertificate:
-    """Approximation bound from the equilibrium residuals: eps is the largest
-    two-sided residual on funded items / positive part on unfunded ones, under
-    the solvers' own funded rule (:func:`budgetcore.lindahl.condition_violation`).
-
-    eps >= 1 certifies nothing, since every budget (|S|/n - eps) B is empty;
-    nor does a non-finite residual (say, 0 * inf in a gradient at a zero
-    spend), which gives eps = inf, or a voter with zero marginal spend, whose
-    residual is undefined (the guarantee then names the voter)."""
+    """The :func:`residual_certificate` of x's equilibrium residuals, or none
+    (naming the voter) when a voter has zero marginal spend and its residual
+    is undefined."""
     xv = allocation_vector(x)
-    total = float(xv.sum())
     try:
         res = lindahl_residuals(inst, model, xv)
     except DegenerateAgentError as e:
-        return CoreCertificate(np.inf, total, np.inf, f"unavailable: {e}")
-    eps = condition_violation(res, xv, inst.budget)
+        return CoreCertificate(np.inf, float(xv.sum()), np.inf, f"unavailable: {e}")
+    return residual_certificate(res, xv, inst.budget)
+
+
+def residual_certificate(res: np.ndarray, x, budget: float) -> CoreCertificate:
+    """Approximation bound from the equilibrium residuals ``res`` at x: eps is
+    the largest two-sided residual on funded items / positive part on unfunded
+    ones, under the solvers' own funded rule
+    (:func:`budgetcore.lindahl.condition_violation`).
+
+    eps >= 1 certifies nothing, since every budget (|S|/n - eps) B is empty;
+    nor does a non-finite residual (say, 0 * inf in a gradient at a zero
+    spend), which gives eps = inf."""
+    xv = allocation_vector(x)
+    total = float(xv.sum())
+    eps = condition_violation(res, xv, budget)
     if not np.isfinite(eps):
         eps = np.inf
     if eps >= 1.0:
         return CoreCertificate(eps, total, np.inf, f"none: eps {eps:.3g} >= 1 empties every budget")
-    cap = inst.budget / (1.0 - eps)
+    cap = budget / (1.0 - eps)
     return CoreCertificate(
         epsilon=eps,
         budget_total=total,

@@ -59,6 +59,7 @@ __all__ = [
     "recover_prices",
 ]
 
+_STEP_INIT = 1.0  # first trial step of the ascent's Armijo line search
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MIN_STEP = 1e-16
@@ -94,7 +95,6 @@ class SolverConfig:
 
     residual_tol: float = 1e-8
     max_iters: int = 50_000
-    step_init: float = 1.0
 
 
 @dataclass
@@ -223,7 +223,7 @@ def _polish(prob: _Ascent, v: np.ndarray, it: int, trace: list, cfg: SolverConfi
 def _run_ascent(prob: _Ascent, v0: np.ndarray, cfg: SolverConfig):
     v = np.maximum(v0, prob.floor)
     val = prob.value(v)
-    step = cfg.step_init
+    step = _STEP_INIT
     trace = []
     it = 0
     polish_trigger = _POLISH_TRIGGER_MULT * cfg.residual_tol

@@ -27,9 +27,10 @@ The sampler is hit-and-run: pick a random direction, intersect it with ``P``,
 and resample the position along that chord from the restricted density.  The
 score is concave, so the chord density is log-concave: each of its slices is
 one interval, and shrinkage slice sampling on the chord (Neal 2003) draws from
-it exactly, with no envelope.  Chains are vectorized: many chains advance in
-lockstep, and manipulation experiments reuse one stream of randomness across
-report variants so that identical reports yield identical chains.
+it exactly, with no envelope.  One lockstep driver runs the chains of all
+three samplers: the single draw (the final state of one chain), pooled draws
+from many chains, and manipulation experiments, whose report variants share
+one stream of randomness so that identical reports yield identical chains.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-9
+# Proposals one chord slice step may make before it raises RejectionCapError.
+_PROPOSAL_CAP = 10_000
 
 
 class MechanismError(ValueError):
@@ -82,8 +85,9 @@ class MechanismConfig:
     ``gamma`` sets the allocation floor n^(-gamma).  ``epsilon_priv`` is the
     exponential weight on the score; it doubles as the truthfulness parameter
     (misreporting can gain at most ``exp(2*epsilon_priv) - 1`` in expectation).
-    ``max_rejection_tries`` caps the chord proposals of one hit-and-run step;
-    a step that needs more raises :class:`RejectionCapError`.
+    ``chain_steps`` is the length of the single draw's chain, whose final
+    state is the draw, and of the manipulation chains.  :func:`sample_chain`
+    and :func:`manipulation_sweep` discard the first ``burn_in`` states.
     """
 
     gamma: float = 0.5
@@ -91,7 +95,6 @@ class MechanismConfig:
     chain_steps: int = 20_000
     burn_in: int = 5_000
     seed: int = 0
-    max_rejection_tries: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -100,10 +103,8 @@ class MechanismConfig:
             raise MechanismError(f"epsilon_priv must be positive, got {self.epsilon_priv}")
         if self.chain_steps <= 0:
             raise MechanismError("chain_steps must be positive")
-        if not 0 <= self.burn_in < self.chain_steps:
-            raise MechanismError("burn_in must lie in [0, chain_steps)")
-        if self.max_rejection_tries <= 0:
-            raise MechanismError("max_rejection_tries must be positive")
+        if self.burn_in < 0:
+            raise MechanismError("burn_in must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,7 @@ def _require_normalized(inst: Instance) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)
 class _Scorer:
     """Vectorized score evaluation, optionally with one report row swapped per chain.
 
@@ -201,33 +203,21 @@ class _Scorer:
     reduces scoring to one pass over the utility matrix.
     """
 
-    def __init__(
-        self,
-        nu: np.ndarray,
-        fs: FeasibleSet,
-        agent: Optional[int] = None,
-        override: Optional[np.ndarray] = None,
-    ) -> None:
-        self.nu = nu
-        self.fs = fs
-        self.agent = agent
-        self.override = override
+    nu: np.ndarray
+    fs: FeasibleSet
+    agent: Optional[int] = None
+    override: Optional[np.ndarray] = None
 
     def inner_terms(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inner maximum value and its argmax item, for each row of X."""
         U = X @ self.nu.T
-        override = self.override
-        if override is not None and override.shape[0] != X.shape[0]:
-            # Probe batches stack several points per chain; repeat the per-chain
-            # rows to match.
-            override = np.tile(override, (X.shape[0] // override.shape[0], 1))
         if self.agent is not None:
-            U[:, self.agent] = np.einsum("ck,ck->c", X, override)
+            U[:, self.agent] = np.einsum("ck,ck->c", X, self.override)
         inv = 1.0 / U
         per_item = inv @ self.nu
         if self.agent is not None:
             corr = inv[:, self.agent][:, None]
-            per_item = per_item + corr * (override - self.nu[self.agent][None, :])
+            per_item = per_item + corr * (self.override - self.nu[self.agent][None, :])
         best_j = per_item.argmax(axis=1)
         value = self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * per_item.max(axis=1)
         return value, best_j
@@ -358,17 +348,14 @@ def _tile(a: np.ndarray, chains: int, width: int) -> np.ndarray:
 
 def _hit_and_run(
     scorer: _Scorer,
-    eps: float,
+    cfg: MechanismConfig,
     X0: np.ndarray,
     n_steps: int,
-    burn_in: int,
-    thin: int,
     rng: np.random.Generator,
-    max_tries: int,
+    keep: range = range(0),
     crn_width: Optional[int] = None,
-    collect: bool = True,
 ):
-    """Advance all chains in lockstep; optionally collect thinned states.
+    """Advance all chains in lockstep; stack the states after the steps in ``keep``.
 
     Each step draws a direction and a slice level ``eps*q(X) - Exponential(1)``
     per chain, then proposes uniformly on the chord, shrinking its bracket
@@ -383,6 +370,7 @@ def _hit_and_run(
     in the batch needed.
     """
     fs = scorer.fs
+    eps = cfg.epsilon_priv
     X = np.array(X0, dtype=float)
     chains, k = X.shape
     width = crn_width or chains
@@ -402,11 +390,11 @@ def _hit_and_run(
         pending = np.ones(chains, dtype=bool)
         rounds = 0
         while pending.any():
-            if rounds >= max_tries:
+            if rounds >= _PROPOSAL_CAP:
                 raise RejectionCapError(
-                    f"chord slice sampling exceeded {max_tries} proposals at step {step} "
+                    f"chord slice sampling exceeded {_PROPOSAL_CAP} proposals at step {step} "
                     f"({int(pending.sum())} of {chains} chains pending, "
-                    f"epsilon={eps:g}); raise max_rejection_tries or lower epsilon"
+                    f"epsilon={eps:g}); lower epsilon"
                 )
             t = a + _tile(shrink_rng.random(width), chains, width) * (b - a)
             # Score every chain, settled or not: paired chains must see
@@ -428,13 +416,12 @@ def _hit_and_run(
             scale = (1.0 - k * lb) / (totals[over] - k * lb)
             X[over] = lb + (X[over] - lb) * scale[:, None]
 
-        if collect and step >= burn_in and (step - burn_in) % thin == 0:
+        if step in keep:
             kept.append(X.copy())
 
     diag = {
         "chains": int(chains),
         "steps": int(n_steps),
-        "burn_in": int(burn_in),
         "proposals": int(proposals),
         "accept_rate": float(n_steps * chains / max(proposals, 1)),
         "worst_rejection_rounds": int(worst_round),
@@ -443,35 +430,30 @@ def _hit_and_run(
     return samples, X, diag
 
 
+def _start(inst: Instance, cfg: MechanismConfig, chains: int):
+    """The normalized instance, its floored simplex, the seeded stream and
+    ``chains`` uniform starting states drawn from that stream."""
+    norm = normalize_instance(inst)
+    fs = FeasibleSet(norm.n, norm.k, cfg.gamma)
+    fs.require_interior()
+    rng = np.random.default_rng(cfg.seed)
+    return norm, fs, rng, fs.uniform(rng, chains)
+
+
 def sample_mechanism(inst: Instance, cfg: MechanismConfig) -> tuple[Allocation, dict]:
     """One draw with probability density proportional to exp(epsilon * q(x)).
 
     Runs a single seeded hit-and-run chain for ``cfg.chain_steps`` steps and
     returns the final state, rescaled to the instance's budget units.
     """
-    norm = normalize_instance(inst)
-    fs = FeasibleSet(norm.n, norm.k, cfg.gamma)
-    fs.require_interior()
-    rng = np.random.default_rng(cfg.seed)
+    norm, fs, rng, X0 = _start(inst, cfg, 1)
     scorer = _Scorer(norm.utilities, fs)
-    X0 = fs.uniform(rng, 1)
-    _, X, diag = _hit_and_run(
-        scorer,
-        cfg.epsilon_priv,
-        X0,
-        cfg.chain_steps,
-        burn_in=cfg.chain_steps,
-        thin=1,
-        rng=rng,
-        max_tries=cfg.max_rejection_tries,
-        collect=False,
-    )
-    x = X[0]
+    _, X, diag = _hit_and_run(scorer, cfg, X0, cfg.chain_steps, rng)
     diag["score"] = float(scorer.q(X)[0])
     diag["epsilon_priv"] = float(cfg.epsilon_priv)
     diag["gamma"] = float(cfg.gamma)
     diag["seed"] = int(cfg.seed)
-    return Allocation(x=x * inst.budget), diag
+    return Allocation(x=X[0] * inst.budget), diag
 
 
 def sample_chain(
@@ -490,25 +472,15 @@ def sample_chain(
     """
     if n_samples <= 0 or n_chains <= 0 or thin <= 0:
         raise MechanismError("n_samples, n_chains and thin must be positive")
-    norm = normalize_instance(inst)
-    fs = FeasibleSet(norm.n, norm.k, cfg.gamma)
-    fs.require_interior()
-    rng = np.random.default_rng(cfg.seed)
-    scorer = _Scorer(norm.utilities, fs)
+    norm, fs, rng, X0 = _start(inst, cfg, n_chains)
     per_chain = -(-n_samples // n_chains)
     n_steps = cfg.burn_in + (per_chain - 1) * thin + 1
-    X0 = fs.uniform(rng, n_chains)
     samples, _, diag = _hit_and_run(
-        scorer,
-        cfg.epsilon_priv,
-        X0,
-        n_steps,
-        burn_in=cfg.burn_in,
-        thin=thin,
-        rng=rng,
-        max_tries=cfg.max_rejection_tries,
+        _Scorer(norm.utilities, fs), cfg, X0, n_steps, rng,
+        keep=range(cfg.burn_in, n_steps, thin),
     )
     flat = samples.reshape(-1, norm.k)[:n_samples]
+    diag["burn_in"] = int(cfg.burn_in)
     diag["thin"] = int(thin)
     diag["collected"] = int(flat.shape[0])
     return flat, diag
@@ -549,28 +521,19 @@ def manipulation_sweep(
     """
     if trials < 2:
         raise MechanismError("need at least 2 trials for a standard error")
-    norm = normalize_instance(inst)
-    R = _prepare_reports(norm, agent, misreports)
+    if cfg.burn_in >= cfg.chain_steps:
+        raise MechanismError("burn_in must be below chain_steps")
+    R = _prepare_reports(inst, agent, misreports)
+    norm, fs, rng, X0 = _start(inst, cfg, trials)
     reports = np.vstack([norm.utilities[agent][None, :], R])
     variants = reports.shape[0]
     chains = variants * trials
-    fs = FeasibleSet(norm.n, norm.k, cfg.gamma)
-    fs.require_interior()
-    rng = np.random.default_rng(cfg.seed)
     scorer = _Scorer(
         norm.utilities, fs, agent=agent, override=np.repeat(reports, trials, axis=0)
     )
-    X0 = _tile(fs.uniform(rng, trials), chains, trials)
     samples, _, _ = _hit_and_run(
-        scorer,
-        cfg.epsilon_priv,
-        X0,
-        cfg.chain_steps,
-        burn_in=cfg.burn_in,
-        thin=1,
-        rng=rng,
-        max_tries=cfg.max_rejection_tries,
-        crn_width=trials,
+        scorer, cfg, _tile(X0, chains, trials), cfg.chain_steps, rng,
+        keep=range(cfg.burn_in, cfg.chain_steps), crn_width=trials,
     )
     # samples: (kept_steps, variants * trials, k); average the agent's true
     # utility over each chain's trajectory.

@@ -52,6 +52,7 @@ __all__ = [
 # pinned at full funding.
 _Y_BRACKET_FLOOR = 1e-12
 _ROOT_MAX_ITERS = 200
+_ROOT_TOL = 1e-10  # accepted root bracket, relative to max(s_j, 1) in x_j, 1/s_j in y_j
 
 
 @dataclass
@@ -60,14 +61,11 @@ class HeuristicConfig:
 
     ``eps_target`` defaults to 1/n and ``perturb_alpha`` to 1/k^2 at solve
     time (both depend on the instance, hence the None sentinel).
-    ``bisection_tol`` is the bracket width at which an item's root is
-    accepted, relative to max(s_j, 1) in x_j and to 1/s_j in y_j.
     """
 
     eps_target: Optional[float] = None
     perturb_alpha: Optional[float] = None
     max_sweeps: int = 10_000
-    bisection_tol: float = 1e-10
     seed: int = 0
 
     def resolve(self, n: int, k: int) -> Tuple[float, float]:
@@ -237,8 +235,7 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
             break
         j = int(np.argmax(viol))
         rest = denom - u[:, j] * contrib[j]
-        xj, yj, pin = _resolve_item(u[:, j], float(sizes[j]), rest, scale,
-                                    cfg.bisection_tol)
+        xj, yj, pin = _resolve_item(u[:, j], float(sizes[j]), rest, scale, _ROOT_TOL)
         x[j], y[j] = xj, yj
         # Any move elsewhere can unpin an item, so pins survive one sweep only.
         pinned[:] = False

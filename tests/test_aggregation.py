@@ -226,6 +226,35 @@ class TestIndependenceAnalysis:
         assert heights == [0.0, 0.0, 0.0, 0.0, 1.0]
         assert rep.merges[-1][2] == 1.0
 
+    @pytest.mark.parametrize("dof", [1, 2, 3])
+    def test_matches_per_pair_reference(self, dof):
+        # Reference: each pair's 2x2 table by boolean reductions, Pearson's
+        # statistic in exact integers, and scipy's chi2.sf, one pair at a
+        # time.  The arithmetic is the same, so the p-values must be equal.
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(dof)
+        n = 300
+        cols = [rng.random(n) < p for p in (0.1, 0.5, 0.5, 0.8, 0.97)]
+        cols.insert(2, np.ones(n, dtype=bool))  # constant: untestable
+        inst = Instance(utilities=np.column_stack(cols).astype(float), budget=1.0)
+        with pytest.warns(RuntimeWarning, match="constant approval columns"):
+            rep = chi2_pairwise(inst, dof=dof)
+        want = np.full((6, 6), np.nan)
+        for j in range(6):
+            for m in range(j + 1, 6):
+                a, b = cols[j], cols[m]
+                t = [[int(np.sum(a & b)), int(np.sum(a & ~b))],
+                     [int(np.sum(~a & b)), int(np.sum(~a & ~b))]]
+                rows, sums = [sum(r) for r in t], [t[0][c] + t[1][c] for c in (0, 1)]
+                if 0 in rows or 0 in sums:
+                    continue
+                stat = n * (t[0][0] * t[1][1] - t[0][1] * t[1][0]) ** 2 / (
+                    rows[0] * rows[1] * sums[0] * sums[1])
+                want[j, m] = want[m, j] = chi2.sf(stat, dof)
+        assert rep.degenerate_items == (2,)
+        np.testing.assert_array_equal(rep.p_values, want)
+
     def test_sample_size_flag(self):
         rng = np.random.default_rng(2)
         assert not self.analyze([rng.random(19) < 0.7 for _ in range(2)]).sample_ok

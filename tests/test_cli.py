@@ -113,6 +113,38 @@ class TestSolve:
             reports.append(rep)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("model", [
+        {"family": "linear"},
+        {"family": "powersum", "alpha": 0.5},
+        {"family": "smoothed", "eps_smooth": 0.1},
+    ], ids=lambda m: m["family"])
+    def test_certificate_reuses_solver_residuals(self, capsys, tmp_path, monkeypatch,
+                                                 model):
+        # The solver's result already holds the residuals at its allocation;
+        # the certificate must come from those, not from a second evaluation.
+        from budgetcore import coreverify, lindahl
+        calls = []
+        residuals = lindahl.lindahl_residuals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return residuals(*args, **kwargs)
+
+        monkeypatch.setattr(lindahl, "lindahl_residuals", counting)
+        monkeypatch.setattr(coreverify, "lindahl_residuals", counting)
+        votes, config = gen_k_approval(capsys, tmp_path)
+        raw = json.loads(Path(config).read_text(encoding="utf-8"))
+        raw["utility_model"] = model
+        Path(config).write_text(json.dumps(raw))
+        rc, rep = run(capsys, "solve", "--votes", votes, "--config", config,
+                      "--out", str(tmp_path / "s"))
+        assert rc == 0
+        assert len(calls) == 1
+        res = rep["result"]
+        expected = coreverify.residual_certificate(
+            np.array(res["residuals"]), np.array(res["allocation"]["x"]), 1000.0)
+        assert res["certificate"]["epsilon"] == expected.epsilon
+
     def test_cobb_douglas_closed_form(self, capsys, tmp_path):
         votes = tmp_path / "votes.csv"
         votes.write_text("voter_id,a,b,c\nv0,0.5,0.25,0.25\nv1,0.2,0.3,0.5\n"
@@ -293,6 +325,18 @@ class TestMechanism:
         assert rep["result"]["core_bound"] == pytest.approx(expected, rel=1e-12)
         assert rep["result"]["core_bound"] >= lb / (1 - 2 * lb) - 1e-12
 
+    def test_draw_needs_no_burn_in(self, capsys, tmp_path):
+        # The draw is the chain's final state; the default burn_in (5000)
+        # exceeds chain_steps here and must neither be required nor reported.
+        votes, _ = gen_k_approval(capsys, tmp_path)
+        config = tmp_path / "mech.json"
+        config.write_text(json.dumps({"mechanism": {"gamma": 0.9, "chain_steps": 300}}))
+        rc, rep = run(capsys, "mechanism", "--votes", votes,
+                      "--config", str(config), "--out", str(tmp_path / "m"))
+        assert rc == 0, rep
+        diag = rep["result"]["diagnostics"]
+        assert diag["steps"] == 300 and "burn_in" not in diag
+
     def test_certificate_unavailable_when_epsilon_large(self, capsys, tmp_path):
         rc, rep = run(capsys, "gen", "--profile", "figure2a", "--n", "30",
                       "--out", str(tmp_path / "gen"))
@@ -441,6 +485,9 @@ class TestConfigParsing:
         ("heuristic", "max_iters"),
         ("mechanism", "steps"),
         ("solver", "z_floor"),
+        ("solver", "step_init"),
+        ("heuristic", "bisection_tol"),
+        ("mechanism", "max_rejection_tries"),
     ])
     def test_unknown_block_key_rejected(self, block, key):
         with pytest.raises(CliError, match=f"unknown key '{key}' in '{block}'"):

@@ -1,5 +1,6 @@
 """Every name a budgetcore module imports is used there or listed in its
-``__all__``, and importing the CLI leaves scipy unloaded."""
+``__all__``, importing the CLI leaves scipy unloaded, and ``analyze`` loads
+no ``scipy.stats``."""
 
 import ast
 import os
@@ -36,16 +37,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.stats and scipy.cluster take about a second to import; only
-    # ``analyze`` (chi2_pairwise) and the tests need them.
-    code = (
-        "import sys, budgetcore.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def loaded_scipy_modules(code: str) -> list:
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.cluster and scipy.special take over half a second to import; only
+    # ``analyze`` (chi2_pairwise) and the tests need them.
+    assert loaded_scipy_modules("import budgetcore.cli") == []
+
+
+def test_chi2_pairwise_loads_no_scipy_stats():
+    # scipy.stats alone takes about a second to import; the p-values come
+    # from scipy.special.chdtrc, the function chi2.sf evaluates.
+    code = (
+        "import numpy as np; from budgetcore.aggregation import chi2_pairwise; "
+        "from budgetcore.model import Instance; "
+        "u = (np.random.default_rng(0).random((50, 4)) < 0.5).astype(float); "
+        "u[:, 0] = 1.0; import warnings; warnings.simplefilter('ignore'); "
+        "rep = chi2_pairwise(Instance(utilities=u, budget=1.0)); "
+        "assert np.isfinite(rep.p_values[1, 2])"
+    )
+    loaded = loaded_scipy_modules(code)
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded

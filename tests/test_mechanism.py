@@ -94,11 +94,20 @@ class TestConfig:
             dict(gamma=1.0),
             dict(epsilon_priv=0.0),
             dict(chain_steps=0),
-            dict(burn_in=50, chain_steps=50),
-            dict(max_rejection_tries=0),
+            dict(burn_in=-1),
         ):
             with pytest.raises(MechanismError):
                 MechanismConfig(**kw)
+
+    def test_burn_in_checked_only_where_chain_steps_bounds_it(self):
+        # The single draw and sample_chain never compare burn_in with
+        # chain_steps; manipulation_sweep runs chain_steps steps and averages
+        # those after burn_in, so it needs at least one.
+        cfg = MechanismConfig(gamma=0.8, chain_steps=50, burn_in=50, seed=1)
+        sample_mechanism(TV_INSTANCE, cfg)
+        sample_chain(TV_INSTANCE, cfg, 10, n_chains=5)
+        with pytest.raises(MechanismError, match="burn_in must be below chain_steps"):
+            manipulation_sweep(TV_INSTANCE, 0, TV_INSTANCE.utilities[1], cfg, trials=2)
 
 
 class TestFeasibleSet:
@@ -431,11 +440,26 @@ class TestSampling:
         dist = np.abs(samples - x_star[None, :]).max(axis=1)
         assert np.mean(dist <= 0.1) >= 0.99
 
-    def test_rejection_cap_raises(self):
+    def test_rejection_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mechanism, "_PROPOSAL_CAP", 1)
         cfg = MechanismConfig(gamma=0.8, epsilon_priv=200.0, chain_steps=2000,
-                              burn_in=500, seed=0, max_rejection_tries=1)
-        with pytest.raises(RejectionCapError, match="rejection"):
+                              burn_in=500, seed=0)
+        with pytest.raises(RejectionCapError, match="exceeded 1 proposals"):
             sample_chain(TV_INSTANCE, cfg, 2000, n_chains=20)
+
+    def test_single_draw_is_last_state_of_one_chain(self):
+        # Both entry points share one set-up and one driver: the same seed
+        # gives the same start and stream, so the draw is the chain's final
+        # state bit for bit.
+        cfg = MechanismConfig(gamma=0.8, epsilon_priv=3.0, chain_steps=400,
+                              burn_in=399, seed=4)
+        draw, diag = sample_mechanism(TV_INSTANCE, cfg)
+        samples, chain_diag = sample_chain(TV_INSTANCE, cfg, 1, n_chains=1)
+        assert samples.shape == (1, 2)
+        assert np.array_equal(draw.x, samples[0])
+        assert diag["steps"] == chain_diag["steps"] == 400
+        assert diag["proposals"] == chain_diag["proposals"]
+        assert "burn_in" not in diag and chain_diag["burn_in"] == 399
 
     def test_bad_sample_arguments(self):
         with pytest.raises(MechanismError):
