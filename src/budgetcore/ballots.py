@@ -5,9 +5,11 @@ item names; each body row is a voter id plus one nonnegative utility cell per
 item (0/1 for plain approval).  Parsing is strict: wrong-arity rows,
 non-numeric cells, and voters who approve nothing are rejected with the line
 (and column) named, because silently dropping ballots would change every
-downstream quantity.  The rows are read once, all cells are converted with
-Python ``float()`` in a single pass, and the value checks run over the whole
-matrix; when a file has several faults the first faulty line is reported.
+downstream quantity.  A file with no ``"`` and no \x1c-\x1f character is read
+by numpy's C reader, which rounds numbers as ``float()`` does; every other
+file, or one that reader rejects or that fails the value checks, takes the
+csv path: :mod:`csv` rows, one ``float()`` pass, whole-matrix checks.  Both
+give the same result and error message; the first faulty line is reported.
 
 Generators produce small named families used throughout the tests and docs:
 majority/minority splits, shared-item variants, free-rider setups, and random
@@ -16,7 +18,9 @@ approval models.  All are deterministic per seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 from itertools import chain
 from pathlib import Path
@@ -28,6 +32,10 @@ from .model import Instance
 
 __all__ = ["BallotError", "parse_votes", "write_votes", "gen_synthetic", "PROFILES"]
 
+# numpy's reader has no csv quoting, and it strips \x1c-\x1f around a number,
+# which float() rejects: files holding any of these take the csv path.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
 
 class BallotError(ValueError):
     """Malformed votes data; the message names the offending line/column."""
@@ -35,8 +43,13 @@ class BallotError(ValueError):
 
 def _open_source(source, mode: str = "r"):
     if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8", newline=""), True
-    return source, False
+        return open(source, mode, encoding="utf-8", newline="")
+    return contextlib.nullcontext(source)  # a caller's stream stays open
+
+
+def _valid(matrix: np.ndarray) -> bool:
+    """All cells finite and nonnegative, and a positive cell in every row."""
+    return bool(((matrix >= 0) & (matrix < np.inf)).all() and (matrix > 0).any(axis=1).all())
 
 
 def _raise_first_fault(rows: list, item_names: list) -> None:
@@ -67,46 +80,56 @@ def parse_votes(source) -> tuple[np.ndarray, list, list]:
 
     ``source`` may be a path or an open text stream.
     """
-    fh, owned = _open_source(source)
+    with _open_source(source) as fh:
+        text = fh.read()
+    lines = io.StringIO(text, newline="")
+    reader = csv.reader(lines)
     try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BallotError("empty votes file: missing header row") from None
-        if not header or header[0].strip() != "voter_id":
-            raise BallotError(
-                "line 1: header must start with 'voter_id' followed by item names"
-            )
-        item_names = [c.strip() for c in header[1:]]
-        if not item_names:
-            raise BallotError("line 1: header lists no items")
-        if any(not name for name in item_names):
-            raise BallotError("line 1: empty item name in header")
-        if len(set(item_names)) != len(item_names):
-            raise BallotError("line 1: duplicate item names in header")
+        header = next(reader)
+    except StopIteration:
+        raise BallotError("empty votes file: missing header row") from None
+    if not header or header[0].strip() != "voter_id":
+        raise BallotError(
+            "line 1: header must start with 'voter_id' followed by item names"
+        )
+    item_names = [c.strip() for c in header[1:]]
+    if not item_names:
+        raise BallotError("line 1: header lists no items")
+    if any(not name for name in item_names):
+        raise BallotError("line 1: empty item name in header")
+    if len(set(item_names)) != len(item_names):
+        raise BallotError("line 1: duplicate item names in header")
 
-        k = len(item_names)
-        rows = [  # (line number, row), blank lines dropped
-            (lineno, row) for lineno, row in enumerate(reader, start=2)
-            if row and not (len(row) == 1 and not row[0].strip())
-        ]
+    k, body = len(item_names), lines.tell()
+    # numpy's C reader, unless the body is blank (loadtxt would warn; the csv
+    # path reports it) or the file holds a character in _CSV_ONLY.
+    if text[body:].strip() and not any(c in text for c in _CSV_ONLY):
         try:
-            if any(len(row) != k + 1 for _, row in rows):
-                raise ValueError
-            cells = chain.from_iterable(row[1:] for _, row in rows)
-            matrix = np.fromiter(map(float, cells), dtype=float, count=len(rows) * k).reshape(-1, k)
-            valid = ((matrix >= 0) & (matrix < np.inf)).all() and (matrix > 0).any(axis=1).all()
-        except ValueError:  # a wrong-arity row or a cell that is not a number
-            valid = False
-        if not valid:
-            _raise_first_fault(rows, item_names)
-        if not rows:
-            raise BallotError("votes file has a header but no voter rows")
-        return matrix, item_names, [row[0].strip() for _, row in rows]
-    finally:
-        if owned:
-            fh.close()
+            table = np.loadtxt(lines, delimiter=",", comments=None,
+                               dtype=[("id", object), ("u", float, (k,))], ndmin=1)
+            matrix = np.ascontiguousarray(table["u"])
+            if _valid(matrix):
+                return matrix, item_names, list(map(str.strip, table["id"].tolist()))
+        except ValueError:  # a spelling the C reader rejects
+            pass
+        lines.seek(body)  # the csv path reads the body again and decides
+    rows = [  # (line number, row), blank lines dropped
+        (lineno, row) for lineno, row in enumerate(reader, start=2)
+        if row and not (len(row) == 1 and not row[0].strip())
+    ]
+    try:
+        if any(len(row) != k + 1 for _, row in rows):
+            raise ValueError
+        cells = chain.from_iterable(row[1:] for _, row in rows)
+        matrix = np.fromiter(map(float, cells), dtype=float, count=len(rows) * k).reshape(-1, k)
+        valid = _valid(matrix)
+    except ValueError:  # a wrong-arity row or a cell that is not a number
+        valid = False
+    if not valid:
+        _raise_first_fault(rows, item_names)
+    if not rows:
+        raise BallotError("votes file has a header but no voter rows")
+    return matrix, item_names, [row[0].strip() for _, row in rows]
 
 
 def write_votes(
@@ -123,15 +146,11 @@ def write_votes(
         voter_ids = [f"v{i}" for i in range(M.shape[0])]
     if len(voter_ids) != M.shape[0]:
         raise BallotError("voter_ids length does not match matrix rows")
-    fh, owned = _open_source(target, "w")
-    try:
+    with _open_source(target, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["voter_id", *item_names])
         for vid, row in zip(voter_ids, M):
             writer.writerow([vid, *(f"{v:.10g}" for v in row)])
-    finally:
-        if owned:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------

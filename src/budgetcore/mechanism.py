@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -127,11 +128,11 @@ class FeasibleSet:
                 "increase gamma or the voter count"
             )
 
-    @property
+    @cached_property
     def lower_bound(self) -> float:
         return float(self.n ** -self.gamma)
 
-    @property
+    @cached_property
     def slack(self) -> float:
         """Budget left over after every item is funded at the floor."""
         return max(1.0 - self.k * self.lower_bound, 0.0)

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from budgetcore import ballots
 from budgetcore.ballots import (
     PROFILES,
     BallotError,
@@ -138,38 +139,86 @@ def reference_parse(source):
     return np.stack(rows), item_names, voter_ids
 
 
-POSITIVE_CELLS = ["1", " 1", "1e-3", "0.5 ", "2.5", "1_0", "+3"]
+POSITIVE_CELLS = ["1", " 1", "1e-3", "0.5 ", "2.5", "+3", "\t2\t"]
 ZERO_CELLS = ["0", "-0", " 0.0"]
-FAULTY_CELLS = ["x", "", "inf", "-inf", "nan", "-1", "1..2", "1e400"]
+FAULTY_CELLS = ["x", "", "inf", "-inf", "nan", "-1", "1..2", "1e400", "1\x1c"]
+# Spellings that float() reads but numpy's reader does not: an underscore and
+# Unicode digits.  Files holding them, or quotes, must reach the csv path.
+CSV_ONLY_CELLS = ["1_0", "\u0661", "\u0662.5"]
+QUOTED = ['"a,b"', '"say ""hi"""']
 
 
 def random_votes_text(rng):
-    """A votes CSV: mixed number spellings, blank lines, LF or CRLF endings,
-    and in about half the files one to three injected faults."""
+    """A votes CSV: mixed number spellings, blank lines, LF, CRLF or bare-CR
+    endings, sometimes no final newline, and in about half the files one to
+    three injected faults.  About a third of the files also hold quoted ids
+    and item names (with a comma or a doubled quote inside) and spellings
+    only ``float()`` reads; the rest are plain enough for numpy's reader."""
     k = int(rng.integers(1, 6))
+    exotic = rng.random() < 0.35
+    positive = POSITIVE_CELLS + CSV_ONLY_CELLS if exotic else POSITIVE_CELLS
     rows = []
     for _ in range(int(rng.integers(0, 30))):
-        pool = [ZERO_CELLS if rng.random() < 0.3 else POSITIVE_CELLS for _ in range(k)]
+        pool = [ZERO_CELLS if rng.random() < 0.3 else positive for _ in range(k)]
         cells = [p[int(rng.integers(len(p)))] for p in pool]
-        cells[int(rng.integers(k))] = POSITIVE_CELLS[int(rng.integers(len(POSITIVE_CELLS)))]
+        cells[int(rng.integers(k))] = positive[int(rng.integers(len(positive)))]
         rows.append(cells)
     if rows and rng.random() < 0.5:
         for _ in range(int(rng.integers(1, 4))):
             i = int(rng.integers(len(rows)))
-            fault = int(rng.integers(3))
+            fault = int(rng.integers(4))
             if fault == 0:
                 rows[i][int(rng.integers(k))] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))]
             elif fault == 1:
                 rows[i] = [ZERO_CELLS[int(rng.integers(len(ZERO_CELLS)))] for _ in range(k)]
-            else:
+            elif fault == 2:
                 rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + ["1"]
-    lines = ["voter_id," + ",".join(f"item{j}" for j in range(k))]
+            else:
+                rows[i] = rows[i] + [""]  # a trailing comma
+    names = [f"item{j}" for j in range(k)]
+    if exotic and rng.random() < 0.5:
+        names[int(rng.integers(k))] = QUOTED[int(rng.integers(len(QUOTED)))]
+    lines = ["voter_id," + ",".join(names)]
     for i, cells in enumerate(rows):
         if rng.random() < 0.1:
             lines.append("" if rng.random() < 0.5 else "   ")
-        lines.append(",".join([f" v{i}", *cells]))
-    eol = "\r\n" if rng.random() < 0.5 else "\n"
-    return eol.join(lines) + eol
+        vid = QUOTED[int(rng.integers(len(QUOTED)))] if exotic and rng.random() < 0.2 else f" v{i}"
+        lines.append(",".join([vid, *cells]))
+    eol = ["\n", "\r\n", "\r"][int(rng.integers(3))]
+    return eol.join(lines) + (eol if rng.random() < 0.8 else "")
+
+
+# Hand-made files at the seams between numpy's reader and the csv path.
+EDGE_FILES = [
+    "voter_id,a\rv0,1\rv1,2",  # bare CR, no final newline
+    "voter_id,a,b\nv0,1,\r1\n",  # a CR splits a row
+    "voter_id,a\r\n\r\n\r\n",  # header and blank lines only
+    "voter_id,a\nv0,1\n\r\r\n\n",
+    "voter_id,a\nv0,1\x1c\n",  # numpy strips \x1c-\x1f, float() does not
+    "voter_id,a\nv0,\x1f1\n",
+    "voter_id,a,b\nv0,1\x1d,1\x1e\n",
+    "voter_id,a\nv0,1\x0b\nv1,\x0c2\n",  # whitespace both strip
+    "voter_id,a\nv0,1\xa0\nv1,\u20282\nv2,3\x85\n",
+    "voter_id,a\nv0,\t1\t\nv1, 2 \n",
+    "voter_id,a\nv0,1_0\n",
+    "voter_id,a\nv0,\u0661\n",
+    "voter_id,a\nv0,1\n \t \n",  # a whitespace-only line
+    "voter_id,a\nv0,1,\n",  # a trailing comma
+    "voter_id,a\n,1\n",  # an empty id
+    "voter_id,a\nv\x000,1\n",  # a NUL in an id
+    "voter_id,a\nv0,1\x00\n",
+    "voter_id,a\n#v0,1\n",  # no comment character
+    'voter_id,"a,b"\nv0,1\n',  # quoted header, plain body
+    'voter_id,"a\nb"\nv0,1\n',  # a header over two lines
+    'voter_id,a\n"v0,x",1\n"v""1",2\n',
+    "voter_id,a\nv0,1e400\n",
+    "voter_id,a\nv0,4.9e-324\nv1,0.1000000000000000055511151231257827\n",
+    "voter_id,a\nv0,Infinity\n",
+    "voter_id,a\nv0,-0\nv1,1\n",
+    "voter_id,a,b\nv0,-0,1\nv1,.5,5.\nv2,1E5,+0\n",
+    "voter_id,a\nv0,0x1\n",
+    "voter_id,a\nv0,1\nv1\n",  # a short last row
+]
 
 
 def parse_outcome(parser, text):
@@ -181,17 +230,47 @@ def parse_outcome(parser, text):
 
 
 class TestOnePassParse:
-    def test_matches_row_by_row_reference(self):
+    def test_matches_row_by_row_reference(self, monkeypatch):
         kinds = ["not a number", "finite and nonnegative", "approves nothing",
                  "value cells", "no voter rows"]
+        csv_path_runs = []
+        fromiter = np.fromiter
+        monkeypatch.setattr(ballots.np, "fromiter",
+                            lambda *a, **kw: csv_path_runs.append(1) or fromiter(*a, **kw))
         rng = np.random.default_rng(20240607)
         seen = set()
-        for _ in range(300):
+        for _ in range(400):
             text = random_votes_text(rng)
+            csv_path_runs.clear()
             got, want = parse_outcome(parse_votes, text), parse_outcome(reference_parse, text)
             assert got == want, text
-            seen |= {"ok"} if want[0] == "ok" else {m for m in kinds if m in want[1]}
-        assert seen == {"ok", *kinds}  # clean files and every row fault occurred
+            if want[0] == "ok":
+                seen.add("ok via csv" if csv_path_runs else "ok via numpy")
+            else:
+                seen |= {m for m in kinds if m in want[1]}
+        # clean files on both paths, and every row fault, occurred
+        assert seen == {"ok via numpy", "ok via csv", *kinds}
+
+    @pytest.mark.parametrize("text", EDGE_FILES)
+    def test_edge_file_matches_reference(self, text):
+        assert parse_outcome(parse_votes, text) == parse_outcome(reference_parse, text)
+
+    def test_clean_file_takes_numpy_reader(self, tmp_path, monkeypatch):
+        inst = gen_synthetic("k-approval", 2000, 12, seed=3)
+        M = inst.utilities * np.linspace(0.1, 3.7, 12)
+        path = tmp_path / "votes.csv"
+        write_votes(path, M, [f"item{j}" for j in range(12)])
+        with open(path, encoding="utf-8", newline="") as fh:
+            want = reference_parse(fh)
+
+        def csv_path(*args, **kwargs):
+            raise AssertionError("the csv path ran")
+
+        monkeypatch.setattr(ballots.np, "fromiter", csv_path)
+        got = parse_votes(path)
+        assert got[0].flags.c_contiguous
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
 
     def test_first_faulty_line_wins(self):
         cases = [

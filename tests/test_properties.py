@@ -1,16 +1,22 @@
-"""Property tests: the solver's convergence claim and the core certificate agree.
+"""Property tests: the solver's convergence claim and the core certificate
+agree, votes files round-trip, and sampler states stay feasible.
 
 Instances are small approval-style profiles, some with items nobody values,
 so that solver outputs keep items at the spend floor; the examples are
 derandomized, so every run checks the same cases.
 """
 
+import io
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from budgetcore.ballots import parse_votes, write_votes
 from budgetcore.coreverify import certify_from_residual, find_deviation_continuous
 from budgetcore.lindahl import SolverConfig, solve_potential, solve_proportional_fairness
+from budgetcore.mechanism import FeasibleSet, MechanismConfig, sample_chain
 from budgetcore.model import Instance, Linear, PowerSum, SmoothedSaturating
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -65,3 +71,49 @@ def test_linear_solution_is_unblocked(inst):
     assert result.converged
     # Additive gains scale with B; 1e-6 * B is far above what eps <= 1e-8 allows.
     assert find_deviation_continuous(inst, model, result.x, threshold=1e-6 * inst.budget) is None
+
+
+# Names and ids from the second alphabet are quoted on write (a comma, a
+# quote or a line break) or hold a separator numpy's reader leaves to csv.
+LABELS = st.one_of(
+    st.text(st.sampled_from("ab7_ -."), max_size=6),
+    st.text(st.sampled_from('ab ,"\t\r\n\x1c\u00e9'), max_size=6),
+)
+CELLS = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_votes_round_trip(data):
+    n, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
+    M = np.array(data.draw(st.lists(st.lists(CELLS, min_size=k, max_size=k),
+                                    min_size=n, max_size=n)))
+    M[M.max(axis=1) == 0, 0] = 1.0
+    names = data.draw(st.lists(LABELS.filter(str.strip), min_size=k, max_size=k,
+                               unique_by=str.strip))
+    ids = data.draw(st.lists(LABELS, min_size=n, max_size=n))
+    buf = io.StringIO()
+    write_votes(buf, M, names, ids)
+    buf.seek(0)
+    got, got_names, got_ids = parse_votes(buf)
+    want = np.array([[float(f"{v:.10g}") for v in row] for row in M])
+    assert got.tobytes() == want.tobytes()
+    assert got_names == [name.strip() for name in names]
+    assert got_ids == [vid.strip() for vid in ids]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_sample_chain_stays_feasible(data):
+    k = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(2 * k, 30))
+    gamma = data.draw(st.floats(math.log(k) / math.log(n) + 0.02, 0.95))
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((n, k)) + 0.01
+    cfg = MechanismConfig(gamma=gamma, epsilon_priv=data.draw(st.floats(0.1, 5.0)),
+                          burn_in=20, seed=data.draw(st.integers(0, 2**16)))
+    samples, _ = sample_chain(Instance(utilities=u, budget=1.0), cfg, 60, n_chains=4)
+    assert samples.shape == (60, k)
+    assert FeasibleSet(n, k, gamma).contains(samples).all()
