@@ -27,7 +27,7 @@ The randomized mechanism's fairness point over its floored simplex is also
 found by ``solve_potential``: shifting every linear utility by floor/slack
 turns it into the proportional-fairness point of a budget-slack instance (see
 ``budgetcore.mechanism.proportional_fairness_point``), so this module holds the
-package's one projected-ascent engine.
+package's one optimization engine, a projected damped Newton method.
 """
 
 from __future__ import annotations
@@ -59,19 +59,16 @@ __all__ = [
     "recover_prices",
 ]
 
-_STEP_INIT = 1.0  # first trial step of the ascent's Armijo line search
 _ARMIJO_SLOPE = 1e-4
-_ARMIJO_SHRINK = 0.5
-_MIN_STEP = 1e-16
+# Steps are judged by Phi above this violation and by the violation below it.
+_HANDOVER = 1e-3
+_MAX_HALVINGS = 60
+# Largest first-order fall of any voter's u_i . z that one step may take.
+_TO_BOUNDARY = 0.99
 # Solver spend floor, as a fraction of B: iterates stay at or above it, so logs
 # stay finite.  An item is funded when its spend is more than a decade above it.
 _SPEND_FLOOR = 1e-12
 _FUNDED_FLOOR_MULT = 10.0
-# First-order iterations hand over to the second-order polish below this
-# violation (or when they visibly stall above it).
-_POLISH_TRIGGER_MULT = 1e4
-_STALL_WINDOW = 50
-_POLISH_MAX_ITERS = 200
 
 
 class DegenerateAgentError(ValueError):
@@ -154,116 +151,6 @@ def recover_prices(inst: Instance, model: UtilityModel, x) -> PriceVectors:
     return PriceVectors(p=(inst.budget / inst.n) * _grads_per_spend(model, allocation_vector(x)))
 
 
-# ---------------------------------------------------------------------------
-# Projected gradient ascent core
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Ascent:
-    """One concave maximization over {v >= floor}: callbacks plus bookkeeping."""
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    violation: Callable[[np.ndarray], float]
-    floor: np.ndarray
-    funded: Callable[[np.ndarray], np.ndarray]
-    # Optimal multiplier for the ray search max_c value(c * v).
-    ray_scale: Callable[[np.ndarray], float]
-    # Negated-curvature matrix -H(v) (positive semidefinite), for the polish.
-    neg_hessian: Callable[[np.ndarray], np.ndarray]
-
-
-def _polish(prob: _Ascent, v: np.ndarray, it: int, trace: list, cfg: SolverConfig):
-    """Damped Newton on the optimality system, judged by the violation alone.
-
-    Near the optimum the potential's floating-point value can no longer
-    register the remaining improvements (its magnitude grows with n while the
-    useful increments shrink), so first-order Armijo steps stall around 1e-7.
-    The violation is a relative quantity and stays comparable, so the polish
-    backtracks on it instead, with the Newton direction restricted to
-    coordinates that are off the floor or pushing away from it.
-    """
-    viol = prob.violation(v)
-    for _ in range(_POLISH_MAX_ITERS):
-        if viol <= cfg.residual_tol or it >= cfg.max_iters:
-            break
-        it += 1
-        g = prob.grad(v)
-        free = prob.funded(v) | (g > 0)
-        d = np.zeros_like(v)
-        solved = False
-        if np.any(free):
-            A = prob.neg_hessian(v)[np.ix_(free, free)]
-            damp = 1e-14 * max(np.trace(A) / A.shape[0], 1.0)
-            try:
-                df = np.linalg.solve(A + damp * np.eye(A.shape[0]), g[free])
-                if np.all(np.isfinite(df)) and float(df @ g[free]) > 0:
-                    d[free] = df
-                    solved = True
-            except np.linalg.LinAlgError:
-                pass
-        if not solved:
-            d = np.where(free, g, 0.0)
-        eta, improved = 1.0, False
-        for _ in range(30):
-            v_new = np.maximum(v + eta * d, prob.floor)
-            viol_new = prob.violation(v_new)
-            if viol_new < viol:
-                v, viol = v_new, viol_new
-                improved = True
-                break
-            eta *= 0.5
-        trace.append((it, viol))
-        if not improved:
-            break
-    return v, it, viol <= cfg.residual_tol, trace
-
-
-def _run_ascent(prob: _Ascent, v0: np.ndarray, cfg: SolverConfig):
-    v = np.maximum(v0, prob.floor)
-    val = prob.value(v)
-    step = _STEP_INIT
-    trace = []
-    it = 0
-    polish_trigger = _POLISH_TRIGGER_MULT * cfg.residual_tol
-    best_recent = np.inf
-    since_progress = 0
-    while it < cfg.max_iters:
-        it += 1
-        c = prob.ray_scale(v)
-        if np.isfinite(c) and c > 0:
-            vc = np.maximum(c * v, prob.floor)
-            valc = prob.value(vc)
-            if valc >= val:
-                v, val = vc, valc
-        viol = prob.violation(v)
-        trace.append((it, viol))
-        if viol <= cfg.residual_tol:
-            return v, it, True, trace
-        # Hand over once first-order steps are in the polish basin or stalled.
-        if viol < best_recent * 0.999:
-            best_recent, since_progress = viol, 0
-        else:
-            since_progress += 1
-        if viol <= polish_trigger or since_progress >= _STALL_WINDOW:
-            return _polish(prob, v, it, trace, cfg)
-        g = prob.grad(v)
-        eta = step
-        while True:
-            v_new = np.maximum(v + eta * g, prob.floor)
-            delta = v_new - v
-            val_new = prob.value(v_new)
-            if val_new >= val + _ARMIJO_SLOPE * float(g @ delta):
-                break
-            eta *= _ARMIJO_SHRINK
-            if eta < _MIN_STEP:
-                return _polish(prob, v, it, trace, cfg)
-        step = eta * 2.0
-        v, val = v_new, val_new
-    return v, it, False, trace
-
-
 def solve_proportional_fairness(
     inst: Instance, model: UtilityModel, cfg: Optional[SolverConfig] = None
 ) -> LindahlResult:
@@ -297,78 +184,87 @@ def solve_potential(
     """Equilibrium via the concave potential in marginal-spend space.
 
     Maximizes Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z at or
-    above the spend floor mapped through z_of_x, by projected gradient ascent
-    with Armijo backtracking, plus an exact 1-D ray search (the scalar c
-    solving (c/B) sum_j c-scaled spend = 1) accepted only when it improves Phi.
+    above the spend floor mapped through z_of_x, by projected damped Newton
+    (Bertsekas 1982) from the even split B/k.  With w = 1/(u z), the gradient
+    is g = u^T w - (n/B) ratio(z) and the negated Hessian is
+    u^T diag(w^2) u + (n/B) diag(ratio'(z)); the Newton direction is solved on
+    the free items (funded, or pushed off the floor by g > 0) and the others
+    stay put.  The first trial step lets no voter's u_i . z fall by more than
+    99% to first order, and is halved up to 60 times.  While the violation is
+    above 1e-3 the first step that raises Phi by the Armijo amount is taken;
+    below that, or when Phi cannot tell a step from rounding (its magnitude
+    grows with n while the gains shrink), the first step that lowers the
+    violation.  When no Newton step is accepted the projected gradient is
+    tried, and when that fails too the solve stops.
     Converged means the equilibrium condition holds to ``residual_tol``
     (two-sided on funded items, one-sided on unfunded ones).
     """
     cfg = cfg or SolverConfig()
     zt = model.z_transform()
     n, k, B = inst.n, inst.k, inst.budget
+    u, c = model.u, n / B
     floor = zt.z_of_x(np.full(k, _SPEND_FLOOR * B))
-    u = model.u
 
-    def value(z):
-        return float(np.log(u @ z).sum() - (n / B) * zt.integral(z).sum())
-
-    def weights(z):
-        return u.T @ (1.0 / (u @ z))
-
-    def grad(z):
-        return weights(z) - (n / B) * zt.ratio(z)
-
-    def violation(z):
+    def evaluate(z):
+        """(Phi, violation, w, g) at z."""
+        w = 1.0 / (u @ z)
         r = zt.ratio(z)
-        res = (B / n) * weights(z) / r - 1.0
-        return condition_violation(res, zt.x_of_z(z), B)
+        uw = u.T @ w
+        viol = condition_violation(uw / (c * r) - 1.0, zt.x_of_z(z), B)
+        return float(-np.log(w).sum() - c * zt.integral(z).sum()), viol, w, uw - c * r
 
-    def funded(z):
-        return _funded(zt.x_of_z(z), B)
-
-    def ray_scale(z):
-        # Root of the 1-D optimality condition (c/B) * sum_j ratio(c z) z = 1.
-        # Degree-1 homogeneous utilities have a constant ratio, so the root is
-        # closed-form; otherwise the left side is nondecreasing in c, so
-        # bisect after bracketing.
-        if model.homogeneous:
-            return B / float(zt.ratio(z) @ z)
-
-        def lhs(c):
-            return (c / B) * float(zt.ratio(c * z) @ z)
-
-        lo, hi = 1.0, 1.0
-        if lhs(1.0) < 1.0:
-            while lhs(hi) < 1.0:
-                hi *= 2.0
-                if hi > 1e12:
-                    return 1.0
-        else:
-            while lhs(lo) > 1.0:
-                lo *= 0.5
-                if lo < 1e-12:
-                    return 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # adjacent floats: no halving can move the bracket
-                break
-            if lhs(mid) < 1.0:
-                lo = mid
+    def line_search(d, by_phi):
+        """The accepted projected step along d, as (z, evaluate(z)), or None."""
+        # Fraction to the boundary of log's domain: a long step must not strand
+        # a voter near the floor, from where Newton only doubles u_i . z.
+        drop = (u @ d) * w
+        eta = float((_TO_BOUNDARY / -drop[drop < -_TO_BOUNDARY]).min(initial=1.0))
+        for _ in range(_MAX_HALVINGS):
+            z_new = np.maximum(z + eta * d, floor)
+            trial = evaluate(z_new)
+            phi_new, viol_new = trial[:2]
+            if by_phi:
+                ok = phi_new - phi > max(_ARMIJO_SLOPE * float(g @ (z_new - z)), 0.0)
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                ok = viol_new < viol
+            if ok and np.isfinite(phi_new) and np.isfinite(viol_new):
+                return z_new, trial
+            eta *= 0.5
+        return None
 
-    def neg_hessian(z):
-        uw = u / (u @ z)[:, None]
-        return uw.T @ uw + (n / B) * np.diag(zt.ratio_prime(z))
-
-    prob = _Ascent(value=value, grad=grad, violation=violation, floor=floor,
-                   funded=funded, ray_scale=ray_scale, neg_hessian=neg_hessian)
-    z0 = zt.z_of_x(np.full(k, B / k))
-    z, iters, converged, trace = _run_ascent(prob, z0, cfg)
+    z = np.maximum(zt.z_of_x(np.full(k, B / k)), floor)
+    phi, viol, w, g = evaluate(z)
+    trace, it = [(0, viol)], 0
+    while viol > cfg.residual_tol and it < cfg.max_iters:
+        free = _funded(zt.x_of_z(z), B) | (g > 0)
+        directions = [g]  # the projected gradient, tried when Newton fails
+        if np.any(free):
+            A = ((u.T * (w * w)) @ u)[np.ix_(free, free)]
+            diag = np.diag(A) + c * zt.ratio_prime(z)[free]
+            # Relative damping keeps A regular at any scale of z; an item that
+            # nobody values and has no curvature gets the mean, and so a long
+            # step toward the floor.
+            A[np.diag_indices_from(A)] = diag + 1e-14 * np.where(diag > 0, diag, diag.mean())
+            try:
+                df = np.linalg.solve(A, g[free])
+                if np.all(np.isfinite(df)) and float(df @ g[free]) > 0:
+                    d = np.zeros(k)
+                    d[free] = df
+                    directions = [d, g]
+            except np.linalg.LinAlgError:
+                pass
+        # A step that Phi cannot tell from rounding is judged by the violation.
+        rules = (True, False) if viol > _HANDOVER else (False,)
+        step = next(filter(None, (line_search(d, by_phi)
+                                  for d in directions for by_phi in rules)), None)
+        if step is None:
+            break
+        z, (phi, viol, w, g) = step
+        it += 1
+        trace.append((it, viol))
     xv = zt.x_of_z(z)
     return LindahlResult(x=Allocation(xv), residuals=lindahl_residuals(inst, model, xv),
-                         iterations=iters, converged=converged, objective_trace=trace)
+                         iterations=it, converged=viol <= cfg.residual_tol, objective_trace=trace)
 
 
 def _project_budget_box(v: np.ndarray, floor: float, cap: float) -> np.ndarray:

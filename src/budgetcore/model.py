@@ -189,7 +189,7 @@ class ZTransform:
     nondecreasing (this is exactly non-satiation), and ``integral`` is its
     antiderivative R with R(0) = 0, which makes the solver's potential concave.
     ``ratio_prime`` is the derivative of ``ratio`` (the potential's per-item
-    curvature), used by the solver's second-order polish.  All are vectorized
+    curvature), used by the solver's Newton steps.  All are vectorized
     over item vectors.
     """
 

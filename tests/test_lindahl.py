@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from budgetcore.coreverify import certify_from_residual
 from budgetcore.lindahl import (
     DegenerateAgentError,
     LindahlResult,
@@ -226,6 +227,18 @@ class TestPotentialSolver:
         )
         with pytest.raises(ModelError, match="non-satiating"):
             solve_potential(inst, Saturating(inst.utilities, inst.sizes))
+
+    def test_unvalued_item_with_small_exponent_reaches_the_floor(self):
+        # Item 2 is valued by nobody.  With alpha < 1 its spend must fall
+        # by orders of magnitude to clear the funded rule (10 * 1e-12 * B).
+        u = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 1]], dtype=float)
+        inst = Instance(utilities=u, budget=1000.0)
+        model = PowerSum(u, 0.31)
+        cfg = SolverConfig()
+        result = solve_potential(inst, model, cfg)
+        assert result.converged
+        assert certify_from_residual(inst, model, result.x).epsilon <= cfg.residual_tol
+        assert result.x.x[2] <= 10 * 1e-12 * inst.budget
 
     def test_respects_custom_tolerance(self):
         inst = cd_instance(n=15, k=4, seed=9, budget=1.0)

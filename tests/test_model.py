@@ -365,6 +365,15 @@ class TestSmoothedSaturating:
                 got = float(zt.integral(np.full(3, z_hi))[j])
                 assert got == pytest.approx(ref, abs=max(1e-8, 10 * err))
 
+    def test_ratio_prime_matches_finite_differences(self):
+        # Flat below the cap z = 1 (ratio = s), a power of z beyond it.
+        zt = self.model().z_transform()
+        h = 1e-6
+        for z in (np.array([0.2, 0.6, 0.95]), np.array([1.05, 1.7, 3.0])):
+            fd = (zt.ratio(z + h) - zt.ratio(z - h)) / (2 * h)
+            assert zt.ratio_prime(z) == pytest.approx(fd, rel=1e-4)
+        assert np.all(zt.ratio_prime(np.array([0.2, 0.6, 0.95])) == 0.0)
+
 
 # ---------------------------------------------------------------------------
 # Factory

@@ -1,5 +1,6 @@
-"""Property tests: the solver's convergence claim and the core certificate
-agree, votes files round-trip, and sampler states stay feasible.
+"""Property tests: the solver converges, its claim and the core certificate
+agree, its outputs pass the continuous oracle, votes files round-trip, and
+sampler states stay feasible.
 
 Instances are small approval-style profiles, some with items nobody values,
 so that solver outputs keep items at the spend floor; the examples are
@@ -10,12 +11,12 @@ import io
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetcore.ballots import parse_votes, write_votes
 from budgetcore.coreverify import certify_from_residual, find_deviation_continuous
-from budgetcore.lindahl import SolverConfig, solve_potential, solve_proportional_fairness
+from budgetcore.lindahl import SolverConfig, solve_potential
 from budgetcore.mechanism import FeasibleSet, MechanismConfig, sample_chain
 from budgetcore.model import Instance, Linear, PowerSum, SmoothedSaturating
 
@@ -56,21 +57,25 @@ def test_converged_solve_certifies_its_tolerance(data):
     model = data.draw(models(inst))
     cfg = SolverConfig()
     result = solve_potential(inst, model, cfg)
-    assume(result.converged)
+    assert result.converged
     assert certify_from_residual(inst, model, result.x).epsilon <= cfg.residual_tol
     # Items the funded rule calls unfunded only need the one-sided condition.
     unfunded = result.x.x <= 10 * 1e-12 * inst.budget
     assert np.all(result.residuals[unfunded] <= cfg.residual_tol)
 
 
-@PROPERTY
-@given(inst=instances(max_n=8, max_k=3))
-def test_linear_solution_is_unblocked(inst):
-    model = Linear(inst.utilities)
-    result = solve_proportional_fairness(inst, model)
+@settings(PROPERTY, max_examples=200)
+@given(data=st.data())
+def test_linear_solution_is_unblocked(data):
+    # Every family the solver handles, refereed by the continuous oracle.
+    inst = data.draw(instances(max_n=8, max_k=3))
+    model = data.draw(models(inst))
+    result = solve_potential(inst, model)
     assert result.converged
     # Additive gains scale with B; 1e-6 * B is far above what eps <= 1e-8 allows.
     assert find_deviation_continuous(inst, model, result.x, threshold=1e-6 * inst.budget) is None
+    assert find_deviation_continuous(inst, model, result.x, threshold=1 + 1e-6,
+                                     mode="multiplicative") is None
 
 
 # Names and ids from the second alphabet are quoted on write (a comma, a
