@@ -19,7 +19,6 @@ from .model import (
     Saturating,
     SmoothedSaturating,
     UtilityModel,
-    ZTransform,
     make_model,
     utility_gradient,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Saturating",
     "SmoothedSaturating",
     "UtilityModel",
-    "ZTransform",
     "make_model",
     "utility_gradient",
 ]

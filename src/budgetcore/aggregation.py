@@ -124,28 +124,22 @@ def rank_and_round(
     slack = _FIT_RTOL * max(budget, 1.0)
 
     x_int = np.zeros(inst.k)
+    x_frac = None  # branches off at the first item that does not fit
     remaining = budget
     for j in order:
         if sizes[j] <= remaining + slack:
             x_int[j] = sizes[j]
             remaining -= sizes[j]
-
-    x_frac = np.zeros(inst.k)
-    remaining = budget
-    for j in order:
-        if sizes[j] <= remaining + slack:
-            x_frac[j] = sizes[j]
-            remaining -= sizes[j]
-        else:
+        elif x_frac is None:
+            x_frac = x_int.copy()
             x_frac[j] = remaining
-            remaining = 0.0
-            break
 
     return RankedScheme(
         scheme=scheme,
         order=order,
         scores=scores,
-        fractional=Allocation(x=x_frac, kind=AllocationKind.FRACTIONAL),
+        fractional=Allocation(x=x_int if x_frac is None else x_frac,
+                              kind=AllocationKind.FRACTIONAL),
         integral=Allocation(x=x_int, kind=AllocationKind.INTEGRAL),
     )
 

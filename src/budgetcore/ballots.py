@@ -33,7 +33,7 @@ from .model import Instance
 __all__ = ["BallotError", "parse_votes", "write_votes", "gen_synthetic", "PROFILES"]
 
 # numpy's reader has no csv quoting, and it strips \x1c-\x1f around a number,
-# which float() rejects: files holding any of these take the csv path.
+# which float() rejects: files whose body holds any of these take the csv path.
 _CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
@@ -102,8 +102,9 @@ def parse_votes(source) -> tuple[np.ndarray, list, list]:
 
     k, body = len(item_names), lines.tell()
     # numpy's C reader, unless the body is blank (loadtxt would warn; the csv
-    # path reports it) or the file holds a character in _CSV_ONLY.
-    if text[body:].strip() and not any(c in text for c in _CSV_ONLY):
+    # path reports it) or holds a character in _CSV_ONLY.
+    body_text = text[body:]
+    if body_text.strip() and not any(c in body_text for c in _CSV_ONLY):
         try:
             table = np.loadtxt(lines, delimiter=",", comments=None,
                                dtype=[("id", object), ("u", float, (k,))], ndmin=1)

@@ -14,8 +14,9 @@ space, maximizing the concave potential
 
     Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j),
 
-whose stationary points satisfy the condition above.  For linear utilities
-z = x and Phi is the proportional-fairness objective, so
+whose stationary points satisfy the condition above; z_j = x_j f_j'(x_j) and
+R_j are the model's own maps (see ``budgetcore.model``).  For linear
+utilities z = x and Phi is the proportional-fairness objective, so
 ``solve_proportional_fairness`` (degree-1 homogeneous families) hands linear
 instances to it and returns Cobb-Douglas equilibria in closed form.
 ``sgd_elicitation`` is the query-limited variant: each round asks one sampled
@@ -184,7 +185,7 @@ def solve_potential(
     """Equilibrium via the concave potential in marginal-spend space.
 
     Maximizes Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z at or
-    above the spend floor mapped through z_of_x, by projected damped Newton
+    above the spend floor mapped through zvec, by projected damped Newton
     (Bertsekas 1982) from the even split B/k.  With w = 1/(u z), the gradient
     is g = u^T w - (n/B) ratio(z) and the negated Hessian is
     u^T diag(w^2) u + (n/B) diag(ratio'(z)); the Newton direction is solved on
@@ -197,21 +198,27 @@ def solve_potential(
     violation.  When no Newton step is accepted the projected gradient is
     tried, and when that fails too the solve stops.
     Converged means the equilibrium condition holds to ``residual_tol``
-    (two-sided on funded items, one-sided on unfunded ones).
+    (two-sided on funded items, one-sided on unfunded ones).  Families
+    without the marginal-spend maps (saturating, Cobb-Douglas) raise
+    :class:`ModelError` before any work.
     """
+    if not hasattr(model, "x_of_z"):
+        raise ModelError(
+            f"{type(model).__name__} has no marginal-spend transform "
+            "(the family is not non-satiating)"
+        )
     cfg = cfg or SolverConfig()
-    zt = model.z_transform()
     n, k, B = inst.n, inst.k, inst.budget
     u, c = model.u, n / B
-    floor = zt.z_of_x(np.full(k, _SPEND_FLOOR * B))
+    floor = model.zvec(np.full(k, _SPEND_FLOOR * B))
 
     def evaluate(z):
         """(Phi, violation, w, g) at z."""
         w = 1.0 / (u @ z)
-        r = zt.ratio(z)
+        r = model.ratio(z)
         uw = u.T @ w
-        viol = condition_violation(uw / (c * r) - 1.0, zt.x_of_z(z), B)
-        return float(-np.log(w).sum() - c * zt.integral(z).sum()), viol, w, uw - c * r
+        viol = condition_violation(uw / (c * r) - 1.0, model.x_of_z(z), B)
+        return float(-np.log(w).sum() - c * model.integral(z).sum()), viol, w, uw - c * r
 
     def line_search(d, by_phi):
         """The accepted projected step along d, as (z, evaluate(z)), or None."""
@@ -232,15 +239,15 @@ def solve_potential(
             eta *= 0.5
         return None
 
-    z = np.maximum(zt.z_of_x(np.full(k, B / k)), floor)
+    z = np.maximum(model.zvec(np.full(k, B / k)), floor)
     phi, viol, w, g = evaluate(z)
     trace, it = [(0, viol)], 0
     while viol > cfg.residual_tol and it < cfg.max_iters:
-        free = _funded(zt.x_of_z(z), B) | (g > 0)
+        free = _funded(model.x_of_z(z), B) | (g > 0)
         directions = [g]  # the projected gradient, tried when Newton fails
         if np.any(free):
             A = ((u.T * (w * w)) @ u)[np.ix_(free, free)]
-            diag = np.diag(A) + c * zt.ratio_prime(z)[free]
+            diag = np.diag(A) + c * model.ratio_prime(z)[free]
             # Relative damping keeps A regular at any scale of z; an item that
             # nobody values and has no curvature gets the mean, and so a long
             # step toward the floor.
@@ -262,7 +269,7 @@ def solve_potential(
         z, (phi, viol, w, g) = step
         it += 1
         trace.append((it, viol))
-    xv = zt.x_of_z(z)
+    xv = model.x_of_z(z)
     return LindahlResult(x=Allocation(xv), residuals=lindahl_residuals(inst, model, xv),
                          iterations=it, converged=viol <= cfg.residual_tol, objective_trace=trace)
 

@@ -1,9 +1,14 @@
 """Problem instances, utility families, and the marginal-spend change of variables.
 
 Everything downstream consumes the same primitives: a voter/item matrix wrapped
-in :class:`Instance`, a utility family layered on top of it, and (for the
-convex-program solver) the per-item change of variables from money ``x`` to
-marginal spend ``z_j = x_j * f_j'(x_j)``, packaged as :class:`ZTransform`.
+in :class:`Instance` and a utility family layered on top of it.  The
+non-satiating families (linear, power-sum, smoothed-saturating) also carry the
+convex-program solver's per-item change of variables from money ``x`` to
+marginal spend ``z_j = x_j * f_j'(x_j)``: ``zvec`` maps x to z, ``x_of_z`` back,
+``ratio(z) = x/z = 1/f'(x)`` is nondecreasing (this is exactly non-satiation),
+``integral`` is its antiderivative R with R(0) = 0, which makes the solver's
+potential concave, and ``ratio_prime`` is its derivative, the potential's
+per-item curvature.  All are vectorized over item vectors.
 
 Utilities are additive across items, ``U_i(x) = sum_j u_ij * f_j(x_j)``, except
 for the Cobb-Douglas family which is the product form ``prod_j x_j^{a_ij}``
@@ -16,7 +21,7 @@ import abc
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,7 +30,6 @@ __all__ = [
     "AllocationKind",
     "Allocation",
     "Instance",
-    "ZTransform",
     "UtilityModel",
     "Linear",
     "PowerSum",
@@ -181,36 +185,18 @@ class Instance:
         return self.sizes
 
 
-@dataclass(frozen=True)
-class ZTransform:
-    """Per-item change of variables z = x f'(x) and its companions.
-
-    ``z_of_x``/``x_of_z`` are inverses; ``ratio(z) = x_of_z(z)/z = 1/f'(x)`` is
-    nondecreasing (this is exactly non-satiation), and ``integral`` is its
-    antiderivative R with R(0) = 0, which makes the solver's potential concave.
-    ``ratio_prime`` is the derivative of ``ratio`` (the potential's per-item
-    curvature), used by the solver's Newton steps.  All are vectorized
-    over item vectors.
-    """
-
-    z_of_x: Callable[[np.ndarray], np.ndarray]
-    x_of_z: Callable[[np.ndarray], np.ndarray]
-    ratio: Callable[[np.ndarray], np.ndarray]
-    integral: Callable[[np.ndarray], np.ndarray]
-    ratio_prime: Callable[[np.ndarray], np.ndarray]
-
-
 class UtilityModel(abc.ABC):
     """Base for utility families; concrete families fill in the array kernels."""
+
+    #: True when U_i is homogeneous of degree one, so the equilibrium is the
+    #: proportional-fairness point.
+    homogeneous = False
 
     def __init__(self, utilities: np.ndarray):
         u = np.atleast_2d(np.asarray(utilities, dtype=float))
         if np.any(u < 0) or not np.all(np.isfinite(u)):
             raise ModelError("utility matrix must be nonnegative and finite")
         self.u = _readonly(u)
-        #: True when U_i is homogeneous of degree one, so the equilibrium is
-        #: the proportional-fairness point.
-        self.homogeneous = False
 
     @property
     def n(self) -> int:
@@ -240,16 +226,9 @@ class UtilityModel(abc.ABC):
         self._check(agent, x)
         return self.gradients_all(allocation_vector(x))[agent].copy()
 
+    @abc.abstractmethod
     def marginal_spend_all(self, x: np.ndarray) -> np.ndarray:
-        """sum_j x_j dU_i/dx_j per voter; overridden where a stabler form exists."""
-        xv = allocation_vector(x)
-        return (self.gradients_all(xv) * xv).sum(axis=1)
-
-    def z_transform(self) -> ZTransform:
-        raise ModelError(
-            f"{type(self).__name__} has no marginal-spend transform "
-            "(the family is not non-satiating)"
-        )
+        """sum_j x_j dU_i/dx_j per voter, shape (n,)."""
 
     def kink_mask(self, x: np.ndarray) -> np.ndarray:
         """Items where the gradient is a one-sided derivative (saturating kink)."""
@@ -261,6 +240,16 @@ class UtilityModel(abc.ABC):
         xv = allocation_vector(x)
         if xv.size != self.k:
             raise ValueError(f"allocation has {xv.size} items, expected {self.k}")
+
+
+def _item_sizes(sizes, k: int) -> np.ndarray:
+    """Validated, read-only item sizes for the size-based families."""
+    s = np.asarray(sizes, dtype=float).reshape(-1)
+    if s.size != k:
+        raise ModelError(f"sizes has length {s.size}, expected {k}")
+    if np.any(s <= 0) or not np.all(np.isfinite(s)):
+        raise ModelError("sizes must be positive and finite")
+    return _readonly(s)
 
 
 def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -280,9 +269,9 @@ class _ScalarSeparable(UtilityModel):
     def fprime(self, x: np.ndarray) -> np.ndarray:
         ...
 
+    @abc.abstractmethod
     def zvec(self, x: np.ndarray) -> np.ndarray:
         """x * f'(x), written so x = 0 never produces 0 * inf."""
-        return x * self.fprime(x)
 
     def utilities_all(self, x: np.ndarray) -> np.ndarray:
         return self.u @ self.f(allocation_vector(x))
@@ -304,9 +293,7 @@ class _ScalarSeparable(UtilityModel):
 class Linear(_ScalarSeparable):
     """f_j(x) = x: utilities are just vote-weighted spend."""
 
-    def __init__(self, utilities: np.ndarray):
-        super().__init__(utilities)
-        self.homogeneous = True
+    homogeneous = True
 
     def f(self, x):
         return np.asarray(x, dtype=float)
@@ -317,15 +304,14 @@ class Linear(_ScalarSeparable):
     def zvec(self, x):
         return np.asarray(x, dtype=float)
 
-    def z_transform(self) -> ZTransform:
-        ident = lambda z: np.asarray(z, dtype=float)
-        return ZTransform(
-            z_of_x=ident,
-            x_of_z=ident,
-            ratio=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            integral=ident,
-            ratio_prime=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        )
+    # z = x, so the inverse and R(z) = int_0^z 1 are the identity as well.
+    x_of_z = integral = zvec
+
+    def ratio(self, z):
+        return np.ones_like(np.asarray(z, dtype=float))
+
+    def ratio_prime(self, z):
+        return np.zeros_like(np.asarray(z, dtype=float))
 
 
 class PowerSum(_ScalarSeparable):
@@ -354,30 +340,25 @@ class PowerSum(_ScalarSeparable):
     def zvec(self, x):
         return self.alpha * np.asarray(x, dtype=float) ** self.alpha
 
-    def z_transform(self) -> ZTransform:
+    def x_of_z(self, z):
         a = self.alpha
+        return (np.asarray(z, dtype=float) / a) ** (1.0 / a)
 
-        def x_of_z(z):
-            return (np.asarray(z, dtype=float) / a) ** (1.0 / a)
+    def ratio(self, z):
+        # x_of_z(z)/z in the algebraically stable form a^{-1/a} z^{1/a - 1};
+        # at z = 0 this is 0 for a < 1 and 1 for a = 1, the f'(x) limits.
+        a = self.alpha
+        return a ** (-1.0 / a) * np.asarray(z, dtype=float) ** (1.0 / a - 1.0)
 
-        def ratio(z):
-            # x_of_z(z)/z in the algebraically stable form a^{-1/a} z^{1/a - 1};
-            # at z = 0 this is 0 for a < 1 and 1 for a = 1, the f'(x) limits.
-            return a ** (-1.0 / a) * np.asarray(z, dtype=float) ** (1.0 / a - 1.0)
+    def integral(self, z):
+        return self.alpha * self.x_of_z(z)
 
-        def ratio_prime(z):
-            coef = a ** (-1.0 / a) * (1.0 / a - 1.0)
-            with np.errstate(divide="ignore"):
-                pow_term = np.asarray(z, dtype=float) ** (1.0 / a - 2.0)
-            return np.where(coef == 0.0, 0.0, coef * pow_term)
-
-        return ZTransform(
-            z_of_x=self.zvec,
-            x_of_z=x_of_z,
-            ratio=ratio,
-            integral=lambda z: a * x_of_z(z),
-            ratio_prime=ratio_prime,
-        )
+    def ratio_prime(self, z):
+        a = self.alpha
+        coef = a ** (-1.0 / a) * (1.0 / a - 1.0)
+        with np.errstate(divide="ignore"):
+            pow_term = np.asarray(z, dtype=float) ** (1.0 / a - 2.0)
+        return np.where(coef == 0.0, 0.0, coef * pow_term)
 
 
 class CobbDouglas(UtilityModel):
@@ -388,6 +369,7 @@ class CobbDouglas(UtilityModel):
     """
 
     _ROW_SUM_TOL = 1e-9
+    homogeneous = True
 
     def __init__(self, exponents: np.ndarray):
         super().__init__(exponents)
@@ -397,7 +379,6 @@ class CobbDouglas(UtilityModel):
             raise ModelError(
                 f"Cobb-Douglas exponent rows must sum to 1; row {i} sums to {rows[i]:.12g}"
             )
-        self.homogeneous = True
 
     def _log_x(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -432,12 +413,7 @@ class Saturating(_ScalarSeparable):
 
     def __init__(self, utilities: np.ndarray, sizes: np.ndarray):
         super().__init__(utilities)
-        s = np.asarray(sizes, dtype=float).reshape(-1)
-        if s.size != self.k:
-            raise ModelError(f"sizes has length {s.size}, expected {self.k}")
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ModelError("sizes must be positive and finite")
-        self.sizes = _readonly(s)
+        self.sizes = _item_sizes(sizes, self.k)
 
     def f(self, x):
         return np.minimum(np.asarray(x, dtype=float) / self.sizes, 1.0)
@@ -464,14 +440,9 @@ class SmoothedSaturating(_ScalarSeparable):
 
     def __init__(self, utilities: np.ndarray, sizes: np.ndarray, eps_smooth: float):
         super().__init__(utilities)
-        s = np.asarray(sizes, dtype=float).reshape(-1)
-        if s.size != self.k:
-            raise ModelError(f"sizes has length {s.size}, expected {self.k}")
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ModelError("sizes must be positive and finite")
+        self.sizes = _item_sizes(sizes, self.k)
         if not (0 < eps_smooth <= 1):
             raise ModelError("smoothing exponent must lie in (0, 1]")
-        self.sizes = _readonly(s)
         self.eps_smooth = float(eps_smooth)
 
     def f(self, x):
@@ -488,27 +459,21 @@ class SmoothedSaturating(_ScalarSeparable):
         rel = np.asarray(x, dtype=float) / self.sizes
         return np.where(rel <= 1.0, rel, rel ** self.eps_smooth)
 
-    def z_transform(self) -> ZTransform:
-        s, e = self.sizes, self.eps_smooth
+    def x_of_z(self, z):
+        z, e = np.asarray(z, dtype=float), self.eps_smooth
+        return self.sizes * np.where(z <= 1.0, z, z ** (1.0 / e))
 
-        def x_of_z(z):
-            z = np.asarray(z, dtype=float)
-            return s * np.where(z <= 1.0, z, z ** (1.0 / e))
+    def ratio(self, z):
+        z, e = np.asarray(z, dtype=float), self.eps_smooth
+        return self.sizes * np.where(z <= 1.0, 1.0, z ** (1.0 / e - 1.0))
 
-        def ratio(z):
-            z = np.asarray(z, dtype=float)
-            return s * np.where(z <= 1.0, 1.0, z ** (1.0 / e - 1.0))
+    def integral(self, z):
+        z, e = np.asarray(z, dtype=float), self.eps_smooth
+        return self.sizes * np.where(z <= 1.0, z, 1.0 + e * (z ** (1.0 / e) - 1.0))
 
-        def integral(z):
-            z = np.asarray(z, dtype=float)
-            return s * np.where(z <= 1.0, z, 1.0 + e * (z ** (1.0 / e) - 1.0))
-
-        def ratio_prime(z):
-            z = np.asarray(z, dtype=float)
-            return s * np.where(z <= 1.0, 0.0, (1.0 / e - 1.0) * z ** (1.0 / e - 2.0))
-
-        return ZTransform(z_of_x=self.zvec, x_of_z=x_of_z, ratio=ratio,
-                          integral=integral, ratio_prime=ratio_prime)
+    def ratio_prime(self, z):
+        z, e = np.asarray(z, dtype=float), self.eps_smooth
+        return self.sizes * np.where(z <= 1.0, 0.0, (1.0 / e - 1.0) * z ** (1.0 / e - 2.0))
 
 
 # The one parameter each family takes (None: it takes none).

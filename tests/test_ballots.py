@@ -258,19 +258,23 @@ class TestOnePassParse:
     def test_clean_file_takes_numpy_reader(self, tmp_path, monkeypatch):
         inst = gen_synthetic("k-approval", 2000, 12, seed=3)
         M = inst.utilities * np.linspace(0.1, 3.7, 12)
-        path = tmp_path / "votes.csv"
-        write_votes(path, M, [f"item{j}" for j in range(12)])
-        with open(path, encoding="utf-8", newline="") as fh:
-            want = reference_parse(fh)
+        plain = [f"item{j}" for j in range(12)]
 
         def csv_path(*args, **kwargs):
             raise AssertionError("the csv path ran")
 
-        monkeypatch.setattr(ballots.np, "fromiter", csv_path)
-        got = parse_votes(path)
-        assert got[0].flags.c_contiguous
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1:] == want[1:]
+        # csv.writer quotes a name holding a comma; only the body decides.
+        for names in (plain, ["Parks, phase 2"] + plain[1:]):
+            path = tmp_path / "votes.csv"
+            write_votes(path, M, names)
+            with open(path, encoding="utf-8", newline="") as fh:
+                want = reference_parse(fh)
+            with monkeypatch.context() as patch:
+                patch.setattr(ballots.np, "fromiter", csv_path)
+                got = parse_votes(path)
+            assert got[0].flags.c_contiguous
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
 
     def test_first_faulty_line_wins(self):
         cases = [

@@ -1,8 +1,11 @@
 """Every name a budgetcore module imports is used there or listed in its
-``__all__``, importing the CLI leaves scipy unloaded, and ``analyze`` loads
-no ``scipy.stats``."""
+``__all__``, no base-class method is shadowed in every concrete subclass,
+importing the CLI leaves scipy unloaded, and ``analyze`` loads no
+``scipy.stats``."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +38,38 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unreachable_base_methods() -> list:
+    """Concrete methods of an abstract budgetcore class that every concrete
+    subclass overrides without calling through ``super()``: code no instance
+    can run."""
+    classes, super_calls = set(), set()
+    for path in MODULES:
+        module = importlib.import_module(f"budgetcore.{path.stem}")
+        classes |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and obj.__module__ == module.__name__}
+        super_calls |= {
+            node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "super"
+        }
+    found = []
+    for base in filter(inspect.isabstract, classes):
+        concrete = [c for c in classes if issubclass(c, base) and not inspect.isabstract(c)]
+        for name, attr in vars(base).items():
+            if not (inspect.isfunction(attr) or isinstance(attr, property)):
+                continue
+            if getattr(attr, "__isabstractmethod__", False) or name in super_calls:
+                continue
+            owners = {next(k for k in c.__mro__ if name in vars(k)) for c in concrete}
+            if concrete and base not in owners:
+                found.append(f"{base.__name__}.{name}")
+    return sorted(found)
+
+
+def test_no_unreachable_base_methods():
+    assert unreachable_base_methods() == []
 
 
 def loaded_scipy_modules(code: str) -> list:

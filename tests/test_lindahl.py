@@ -225,8 +225,9 @@ class TestPotentialSolver:
         inst = Instance(
             utilities=[[1.0, 1.0]], budget=1.0, sizes=np.array([0.6, 0.6])
         )
-        with pytest.raises(ModelError, match="non-satiating"):
-            solve_potential(inst, Saturating(inst.utilities, inst.sizes))
+        for model in (Saturating(inst.utilities, inst.sizes), CobbDouglas([[0.5, 0.5]])):
+            with pytest.raises(ModelError, match="non-satiating"):
+                solve_potential(inst, model)
 
     def test_unvalued_item_with_small_exponent_reaches_the_floor(self):
         # Item 2 is valued by nobody.  With alpha < 1 its spend must fall

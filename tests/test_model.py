@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from budgetcore.lindahl import solve_potential
 from budgetcore.model import (
     Allocation,
     AllocationKind,
@@ -137,13 +138,13 @@ class TestLinear:
         assert model.homogeneous
 
     def test_transform_is_identity(self):
-        zt = Linear(np.ones((2, 3))).z_transform()
+        m = Linear(np.ones((2, 3)))
         z = np.array([0.2, 0.0, 1.5])
-        assert zt.z_of_x(z) == pytest.approx(z)
-        assert zt.x_of_z(z) == pytest.approx(z)
-        assert zt.ratio(z) == pytest.approx(np.ones(3))
-        assert zt.integral(z) == pytest.approx(z)
-        assert zt.ratio_prime(z) == pytest.approx(np.zeros(3))
+        assert m.zvec(z) == pytest.approx(z)
+        assert m.x_of_z(z) == pytest.approx(z)
+        assert m.ratio(z) == pytest.approx(np.ones(3))
+        assert m.integral(z) == pytest.approx(z)
+        assert m.ratio_prime(z) == pytest.approx(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -196,33 +197,32 @@ class TestPowerSum:
         assert PowerSum(u, np.ones(4)).homogeneous
 
     def test_transform_inverts(self):
-        zt = self.model().z_transform()
+        m = self.model()
         x = RNG.uniform(0.05, 2.0, size=(10, 4))
-        assert zt.x_of_z(zt.z_of_x(x)) == pytest.approx(x, rel=1e-10)
+        assert m.x_of_z(m.zvec(x)) == pytest.approx(x, rel=1e-10)
 
     def test_ratio_is_nondecreasing(self):
-        zt = self.model().z_transform()
         z = np.linspace(1e-4, 2.0, 200)[:, None] * np.ones(4)
-        r = zt.ratio(z)
+        r = self.model().ratio(z)
         assert np.all(np.diff(r, axis=0) >= -1e-12)
 
     def test_integral_matches_quadrature(self):
         # R_j(z) must be the antiderivative of ratio_j with R_j(0) = 0.
-        zt = self.model().z_transform()
+        m = self.model()
         for j, a in enumerate(self.alpha):
             for z_hi in (0.3, 0.9, 1.7):
                 ref, err = quad(
-                    lambda t: float(zt.ratio(np.full(4, max(t, 1e-300)))[j]), 0.0, z_hi
+                    lambda t: float(m.ratio(np.full(4, max(t, 1e-300)))[j]), 0.0, z_hi
                 )
-                got = float(zt.integral(np.full(4, z_hi))[j])
+                got = float(m.integral(np.full(4, z_hi))[j])
                 assert got == pytest.approx(ref, abs=max(1e-8, 10 * err))
 
     def test_ratio_prime_matches_finite_differences(self):
-        zt = self.model().z_transform()
+        m = self.model()
         z = RNG.uniform(0.2, 1.5, size=4)
         h = 1e-6
-        fd = (zt.ratio(z + h) - zt.ratio(z - h)) / (2 * h)
-        assert zt.ratio_prime(z) == pytest.approx(fd, rel=1e-4)
+        fd = (m.ratio(z + h) - m.ratio(z - h)) / (2 * h)
+        assert m.ratio_prime(z) == pytest.approx(fd, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,9 @@ class TestSaturating:
         assert g[0] == pytest.approx(2.0)  # left derivative 1/s_0
 
     def test_no_transform(self):
+        inst = Instance(utilities=self.model().u, budget=1.0, sizes=self.sizes)
         with pytest.raises(ModelError, match="non-satiating"):
-            self.model().z_transform()
+            solve_potential(inst, self.model())
 
 
 class TestSmoothedSaturating:
@@ -353,26 +354,26 @@ class TestSmoothedSaturating:
         assert np.all(m.fprime(x) > 0)
 
     def test_transform_inverts(self):
-        zt = self.model().z_transform()
+        m = self.model()
         x = RNG.uniform(0.1, 6.0, size=(20, 3))
-        assert zt.x_of_z(zt.z_of_x(x)) == pytest.approx(x, rel=1e-9)
+        assert m.x_of_z(m.zvec(x)) == pytest.approx(x, rel=1e-9)
 
     def test_integral_matches_quadrature(self):
-        zt = self.model().z_transform()
+        m = self.model()
         for j in range(3):
             for z_hi in (0.5, 1.0, 2.5):
-                ref, err = quad(lambda t: float(zt.ratio(np.full(3, t))[j]), 0.0, z_hi)
-                got = float(zt.integral(np.full(3, z_hi))[j])
+                ref, err = quad(lambda t: float(m.ratio(np.full(3, t))[j]), 0.0, z_hi)
+                got = float(m.integral(np.full(3, z_hi))[j])
                 assert got == pytest.approx(ref, abs=max(1e-8, 10 * err))
 
     def test_ratio_prime_matches_finite_differences(self):
         # Flat below the cap z = 1 (ratio = s), a power of z beyond it.
-        zt = self.model().z_transform()
+        m = self.model()
         h = 1e-6
         for z in (np.array([0.2, 0.6, 0.95]), np.array([1.05, 1.7, 3.0])):
-            fd = (zt.ratio(z + h) - zt.ratio(z - h)) / (2 * h)
-            assert zt.ratio_prime(z) == pytest.approx(fd, rel=1e-4)
-        assert np.all(zt.ratio_prime(np.array([0.2, 0.6, 0.95])) == 0.0)
+            fd = (m.ratio(z + h) - m.ratio(z - h)) / (2 * h)
+            assert m.ratio_prime(z) == pytest.approx(fd, rel=1e-4)
+        assert np.all(m.ratio_prime(np.array([0.2, 0.6, 0.95])) == 0.0)
 
 
 # ---------------------------------------------------------------------------
