@@ -48,7 +48,7 @@ from .coreverify import (
     find_deviation_continuous,
     residual_certificate,
 )
-from .lindahl import SolverConfig, solve_potential, solve_proportional_fairness
+from .lindahl import SolverConfig, solve_potential
 from .mechanism import MechanismConfig, MechanismError, approximation_certificate, sample_mechanism
 from .model import Allocation, Instance, make_model
 from .saturating import HeuristicConfig, heuristic_solve
@@ -261,8 +261,7 @@ def _certificate(cert: CoreCertificate) -> dict:
 def _cmd_solve(args, cfg: ElectionConfig, out_dir: Path) -> dict:
     inst, meta = _load_instance(args, cfg)
     model = make_model(inst, cfg.model_family, **cfg.model_params)
-    solve = solve_proportional_fairness if model.homogeneous else solve_potential
-    result = solve(inst, model, SolverConfig(**cfg.solver))
+    result = solve_potential(inst, model, SolverConfig(**cfg.solver))
     report = _base_report("solve", cfg, meta)
     report["artifacts"]["trace_csv"] = _write_trace(out_dir, result.objective_trace)
     report["result"] = {
@@ -293,9 +292,8 @@ def _cmd_solve_sat(args, cfg: ElectionConfig, out_dir: Path) -> dict:
         "converged": result.converged,
         "sweeps": len(result.max_violation_trace),
         "budget_flagged": result.budget_flagged,
-        "max_violation": float(result.max_violation_trace[-1][1])
-        if result.max_violation_trace
-        else None,
+        # The returned iterate is the best sweep's, also when not converged.
+        "max_violation": min((float(v) for _, v in result.max_violation_trace), default=None),
     }
     return report
 

@@ -9,20 +9,22 @@ of that condition per item; the solvers drive it to zero.  ``condition_violation
 holds the one funded rule, in spend space (x_j > 10 * 1e-12 * B, a decade above
 the solvers' spend floor), for every solver and the core certificate alike.
 
-``solve_potential`` is the one numerical route.  It works in marginal-spend
-space, maximizing the concave potential
+``solve_potential`` is the one equilibrium entry point.  Cobb-Douglas
+equilibria have the closed form x_j = (B/n) sum_i a_ij; every other
+non-satiating family is solved in marginal-spend space, maximizing the concave
+potential
 
     Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j),
 
 whose stationary points satisfy the condition above; z_j = x_j f_j'(x_j) and
 R_j are the model's own maps (see ``budgetcore.model``).  For linear
-utilities z = x and Phi is the proportional-fairness objective, so
-``solve_proportional_fairness`` (degree-1 homogeneous families) hands linear
-instances to it and returns Cobb-Douglas equilibria in closed form.
+utilities z = x and Phi is the proportional-fairness objective.  Smoothed
+saturating models are solved the same way; their approximation factor is
+``budgetcore.saturating.smoothing_alpha``.
 ``sgd_elicitation`` is the query-limited variant: each round asks one sampled
 voter only for the *direction* of their utility gradient (the unit-ball best
 response) and takes an unbiased stochastic ascent step.  ``recover_prices``
-turns a solution into supporting per-voter price vectors.
+turns a solution into the matrix of supporting per-voter prices.
 
 The randomized mechanism's fairness point over its floored simplex is also
 found by ``solve_potential``: shifting every linear utility by floor/slack
@@ -50,11 +52,9 @@ from .model import (
 __all__ = [
     "SolverConfig",
     "LindahlResult",
-    "PriceVectors",
     "DegenerateAgentError",
     "lindahl_residuals",
     "condition_violation",
-    "solve_proportional_fairness",
     "solve_potential",
     "sgd_elicitation",
     "recover_prices",
@@ -104,13 +104,6 @@ class LindahlResult:
     objective_trace: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PriceVectors:
-    """Per-voter, per-item prices supporting an allocation; rows cost B/n."""
-
-    p: np.ndarray
-
-
 def _grads_per_spend(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
     """grad_ij / (sum_m x_m grad_im), the matrix behind residuals and prices."""
     denom = model.marginal_spend_all(xv)
@@ -143,48 +136,24 @@ def lindahl_residuals(inst: Instance, model: UtilityModel, x) -> np.ndarray:
     return (inst.budget / inst.n) * lhs - 1.0
 
 
-def recover_prices(inst: Instance, model: UtilityModel, x) -> PriceVectors:
-    """Supporting prices p_ij = (B/n) grad_ij / (sum_m x_m grad_im).
+def recover_prices(inst: Instance, model: UtilityModel, x) -> np.ndarray:
+    """Supporting prices p_ij = (B/n) grad_ij / (sum_m x_m grad_im), shape (n, k).
 
     Each voter's bundle costs exactly B/n under their prices, and the per-item
     price totals exceed 1 by at most the residual certificate.
     """
-    return PriceVectors(p=(inst.budget / inst.n) * _grads_per_spend(model, allocation_vector(x)))
-
-
-def solve_proportional_fairness(
-    inst: Instance, model: UtilityModel, cfg: Optional[SolverConfig] = None
-) -> LindahlResult:
-    """Equilibrium for degree-1 homogeneous families (linear, Cobb-Douglas).
-
-    Here the equilibrium is the proportional-fairness point, the maximizer of
-    sum_i log U_i(x) over {x >= 0, sum x <= B}.  For Cobb-Douglas it has the
-    closed form x_j = (B/n) sum_i a_ij (floored at 1e-12 * B; no iterations);
-    linear utilities are the case z = x of :func:`solve_potential`.
-    """
-    cfg = cfg or SolverConfig()
-    if not model.homogeneous:
-        raise ModelError(
-            "proportional fairness equals the equilibrium only for degree-1 "
-            "homogeneous families; use solve_potential for this model"
-        )
-    if not isinstance(model, CobbDouglas):
-        return solve_potential(inst, model, cfg)
-    xv = np.maximum((inst.budget / inst.n) * model.u.sum(axis=0), _SPEND_FLOOR * inst.budget)
-    res = lindahl_residuals(inst, model, xv)
-    viol = condition_violation(res, xv, inst.budget)
-    return LindahlResult(
-        x=Allocation(xv), residuals=res, iterations=0,
-        converged=viol <= cfg.residual_tol, objective_trace=[(0, viol)],
-    )
+    return (inst.budget / inst.n) * _grads_per_spend(model, allocation_vector(x))
 
 
 def solve_potential(
     inst: Instance, model: UtilityModel, cfg: Optional[SolverConfig] = None
 ) -> LindahlResult:
-    """Equilibrium via the concave potential in marginal-spend space.
+    """The equilibrium of a non-satiating family.
 
-    Maximizes Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z at or
+    Cobb-Douglas equilibria are proportional-fairness points with the closed
+    form x_j = (B/n) sum_i a_ij (floored at 1e-12 * B; no iterations, one trace
+    entry).  Every other family is solved in marginal-spend space: maximize
+    Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z at or
     above the spend floor mapped through zvec, by projected damped Newton
     (Bertsekas 1982) from the even split B/k.  With w = 1/(u z), the gradient
     is g = u^T w - (n/B) ratio(z) and the negated Hessian is
@@ -198,17 +167,23 @@ def solve_potential(
     violation.  When no Newton step is accepted the projected gradient is
     tried, and when that fails too the solve stops.
     Converged means the equilibrium condition holds to ``residual_tol``
-    (two-sided on funded items, one-sided on unfunded ones).  Families
-    without the marginal-spend maps (saturating, Cobb-Douglas) raise
-    :class:`ModelError` before any work.
+    (two-sided on funded items, one-sided on unfunded ones).  Hard saturating
+    models have no marginal-spend maps and raise :class:`ModelError` before
+    any work.
     """
+    cfg = cfg or SolverConfig()
+    n, k, B = inst.n, inst.k, inst.budget
+    if isinstance(model, CobbDouglas):
+        xv = np.maximum((B / n) * model.u.sum(axis=0), _SPEND_FLOOR * B)
+        res = lindahl_residuals(inst, model, xv)
+        viol = condition_violation(res, xv, B)
+        return LindahlResult(x=Allocation(xv), residuals=res, iterations=0,
+                             converged=viol <= cfg.residual_tol, objective_trace=[(0, viol)])
     if not hasattr(model, "x_of_z"):
         raise ModelError(
             f"{type(model).__name__} has no marginal-spend transform "
             "(the family is not non-satiating)"
         )
-    cfg = cfg or SolverConfig()
-    n, k, B = inst.n, inst.k, inst.budget
     u, c = model.u, n / B
     floor = model.zvec(np.full(k, _SPEND_FLOOR * B))
 

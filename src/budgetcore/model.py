@@ -125,6 +125,16 @@ def allocation_vector(x: Union[Allocation, np.ndarray, list]) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(-1)
 
 
+def _item_sizes(sizes, k: int) -> np.ndarray:
+    """Validated, read-only item sizes for instances and the size-based families."""
+    s = np.asarray(sizes, dtype=float).reshape(-1)
+    if s.size != k:
+        raise ModelError(f"sizes has length {s.size}, expected {k}")
+    if np.any(s <= 0) or not np.all(np.isfinite(s)):
+        raise ModelError("sizes must be positive and finite")
+    return _readonly(s)
+
+
 @dataclass(frozen=True)
 class Instance:
     """n voters, k items, a budget, and (optionally) item sizes.
@@ -157,12 +167,7 @@ class Instance:
         object.__setattr__(self, "budget", float(self.budget))
 
         if self.sizes is not None:
-            s = np.asarray(self.sizes, dtype=float).reshape(-1)
-            if s.size != u.shape[1]:
-                raise ValueError(f"sizes has length {s.size}, expected {u.shape[1]}")
-            if not np.all(np.isfinite(s)) or np.any(s <= 0):
-                raise ValueError("sizes must be positive and finite")
-            object.__setattr__(self, "sizes", _readonly(s))
+            object.__setattr__(self, "sizes", _item_sizes(self.sizes, u.shape[1]))
 
         names = tuple(self.item_names) or tuple(f"item_{j}" for j in range(u.shape[1]))
         if len(names) != u.shape[1]:
@@ -188,8 +193,9 @@ class Instance:
 class UtilityModel(abc.ABC):
     """Base for utility families; concrete families fill in the array kernels."""
 
-    #: True when U_i is homogeneous of degree one, so the equilibrium is the
-    #: proportional-fairness point.
+    #: True when U_i(b x) = b U_i(x).  Read only by the continuous oracle's
+    #: crossing-budget pruning, whose relative slack also covers Cobb-Douglas's
+    #: log(0) stand-in (not exactly homogeneous at tiny exponents).
     homogeneous = False
 
     def __init__(self, utilities: np.ndarray):
@@ -240,16 +246,6 @@ class UtilityModel(abc.ABC):
         xv = allocation_vector(x)
         if xv.size != self.k:
             raise ValueError(f"allocation has {xv.size} items, expected {self.k}")
-
-
-def _item_sizes(sizes, k: int) -> np.ndarray:
-    """Validated, read-only item sizes for the size-based families."""
-    s = np.asarray(sizes, dtype=float).reshape(-1)
-    if s.size != k:
-        raise ModelError(f"sizes has length {s.size}, expected {k}")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise ModelError("sizes must be positive and finite")
-    return _readonly(s)
 
 
 def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Saturating-utility solvers: the smoothed relaxation and the direct heuristic.
+"""Saturating utilities: the smoothing factor and the direct heuristic.
 
 Hard saturating value curves min(x_j/s_j, 1) violate non-satiation, so the
 convex-program route does not apply directly.  Two workarounds:
 
-* ``solve_smoothed`` swaps in the concave power tail past the cliff
-  (:class:`~budgetcore.model.SmoothedSaturating`), solves the resulting convex
-  program exactly, and reports the multiplicative approximation factor
-  (1/eps)(B/s_min)^eps + 1 - 1/eps paid for the smoothing.
+* the smoothed relaxation swaps in the concave power tail past the cliff
+  (:class:`~budgetcore.model.SmoothedSaturating`, or ``make_model(inst,
+  "smoothed", eps_smooth=...)``), which ``budgetcore.lindahl.solve_potential``
+  solves exactly; ``smoothing_alpha`` is the multiplicative approximation
+  factor (1/eps)(B/s_min)^eps + 1 - 1/eps paid for the smoothing.
 
 * ``heuristic_solve`` works on the hard curves.  It maintains spends x_j and
   subgradient choices y_j in [0, 1/s_j] (y_j = 1/s_j wherever x_j < s_j), and
@@ -30,20 +31,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .lindahl import LindahlResult, SolverConfig, solve_potential
-from .model import (
-    Allocation,
-    Instance,
-    Saturating,
-    SmoothedSaturating,
-)
+from .model import Allocation, Instance
 
 __all__ = [
     "HeuristicConfig",
     "HeuristicResult",
-    "smooth_relax",
     "smoothing_alpha",
-    "solve_smoothed",
     "heuristic_solve",
 ]
 
@@ -86,26 +79,11 @@ class HeuristicResult:
     budget_flagged: bool = False
 
 
-def smooth_relax(model: Saturating, eps_smooth: float) -> SmoothedSaturating:
-    """The concave-tail relaxation of a hard saturating model."""
-    return SmoothedSaturating(model.u, model.sizes, eps_smooth)
-
-
 def smoothing_alpha(budget: float, s_min: float, eps_smooth: float) -> float:
     """Multiplicative approximation factor of the smoothed program:
     (1/eps)(B/s_min)^eps + 1 - 1/eps."""
     e = eps_smooth
     return (budget / s_min) ** e / e + 1.0 - 1.0 / e
-
-
-def solve_smoothed(
-    inst: Instance, eps_smooth: float, cfg: Optional[SolverConfig] = None
-) -> Tuple[LindahlResult, float]:
-    """Solve the smoothed relaxation exactly; return (result, approximation factor)."""
-    sizes = inst.require_sizes()
-    model = SmoothedSaturating(inst.utilities, sizes, eps_smooth)
-    result = solve_potential(inst, model, cfg)
-    return result, smoothing_alpha(inst.budget, float(sizes.min()), eps_smooth)
 
 
 def _gaps(u: np.ndarray, rest: np.ndarray, x: float, y: float,

@@ -17,12 +17,7 @@ from scipy.optimize import minimize_scalar
 from budgetcore.aggregation import jaccard, rank_and_round, random_model_trial
 from budgetcore.ballots import gen_synthetic
 from budgetcore.coreverify import find_deviation_continuous
-from budgetcore.lindahl import (
-    SolverConfig,
-    lindahl_residuals,
-    solve_potential,
-    solve_proportional_fairness,
-)
+from budgetcore.lindahl import SolverConfig, lindahl_residuals, solve_potential
 from budgetcore.mechanism import (
     FeasibleSet,
     InfeasibleError,
@@ -34,7 +29,7 @@ from budgetcore.mechanism import (
     score_q,
 )
 from budgetcore.model import Instance, make_model
-from budgetcore.saturating import HeuristicConfig, heuristic_solve, smooth_relax
+from budgetcore.saturating import HeuristicConfig, heuristic_solve
 
 from conftest import BOSTON_BUDGET
 from test_mechanism import tv_against_target
@@ -70,14 +65,14 @@ def test_criterion_01_proportional_funding():
     for counts, budget in (((7, 2, 1, 10), 5.0), ((3, 3), 1.0), ((12, 4, 4), 2.0)):
         inst = disjoint_instance(counts, budget)
         model = make_model(inst, "linear")
-        x = solve_proportional_fairness(inst, model, SolverConfig()).x.x
+        x = solve_potential(inst, model, SolverConfig()).x.x
         expect = np.array(counts) / inst.n * budget
         worst = max(worst, float(np.abs(x - expect).max()))
 
     big = gen_synthetic("disjoint-groups", n=10_000, k=20)
     model = make_model(big, "linear")
     t0 = time.perf_counter()
-    res = solve_proportional_fairness(big, model, SolverConfig())
+    res = solve_potential(big, model, SolverConfig())
     elapsed = time.perf_counter() - t0
     worst = max(worst, float(np.abs(res.x.x - 1.0 / 20).max()))
 
@@ -97,7 +92,7 @@ def test_criterion_02_cobb_douglas_averaging():
         budget = float(rng.uniform(0.5, 20.0))
         inst = Instance(utilities=alpha, budget=budget)
         model = make_model(inst, "cobb-douglas")
-        x = solve_proportional_fairness(inst, model, SolverConfig()).x.x
+        x = solve_potential(inst, model, SolverConfig()).x.x
         expect = alpha.mean(axis=0) * budget
         worst = max(worst, float(np.abs(x - expect).max()))
     ok = worst <= 1e-6
@@ -109,23 +104,21 @@ def test_criterion_03_residual_soundness():
     rng = np.random.default_rng(11)
     outputs = []
 
-    for _ in range(3):  # linear, fast path
+    for _ in range(3):  # linear
         inst = Instance(utilities=rng.uniform(0.05, 1.0, (12, 4)), budget=2.0)
         model = make_model(inst, "linear")
-        outputs.append((inst, model,
-                        solve_proportional_fairness(inst, model, SolverConfig()).x.x))
-    for _ in range(2):  # Cobb-Douglas, fast path
+        outputs.append((inst, model, solve_potential(inst, model, SolverConfig()).x.x))
+    for _ in range(2):  # Cobb-Douglas, closed form
         inst = Instance(utilities=rng.dirichlet(np.ones(3), size=10), budget=1.0)
         model = make_model(inst, "cobb-douglas")
-        outputs.append((inst, model,
-                        solve_proportional_fairness(inst, model, SolverConfig()).x.x))
-    for alpha in (0.5, 0.8, 1.0):  # transformed-space solver
+        outputs.append((inst, model, solve_potential(inst, model, SolverConfig()).x.x))
+    for alpha in (0.5, 0.8, 1.0):  # power-sum
         inst = Instance(utilities=rng.uniform(0.05, 1.0, (9, 3)), budget=1.5)
         model = make_model(inst, "powersum", alpha=alpha)
         outputs.append((inst, model, solve_potential(inst, model, SolverConfig()).x.x))
     # Smoothed saturating relaxation
     sat = gen_synthetic("k-approval", n=40, k=6, seed=1)
-    model = smooth_relax(make_model(sat, "saturating"), 0.5)
+    model = make_model(sat, "smoothed", eps_smooth=0.5)
     outputs.append((sat, model, solve_potential(sat, model, SolverConfig()).x.x))
 
     worst = max(condition_violation(inst, model, x) for inst, model, x in outputs)
@@ -143,7 +136,7 @@ def test_criterion_04_no_blocking_coalitions():
         k = int(rng.integers(2, 4))
         inst = Instance(utilities=rng.uniform(0.05, 1.0, (n, k)), budget=1.0)
         model = make_model(inst, "linear")
-        x = solve_proportional_fairness(inst, model, SolverConfig()).x.x
+        x = solve_potential(inst, model, SolverConfig()).x.x
         dev = find_deviation_continuous(inst, model, x, grid_steps=200,
                                         mode="additive", threshold=1e-3)
         clean += dev is None

@@ -17,7 +17,10 @@ from budgetcore.cli import CliError, ElectionConfig, main
 from budgetcore.ballots import parse_votes
 from budgetcore.lindahl import SolverConfig
 from budgetcore.mechanism import MechanismConfig
-from budgetcore.saturating import HeuristicConfig
+from budgetcore.model import Instance
+from budgetcore.saturating import HeuristicConfig, heuristic_solve
+
+from test_saturating import heuristic_bounds
 
 
 def run(capsys, *argv):
@@ -191,6 +194,29 @@ class TestSolveSat:
         assert len(res["allocation"]["x"]) == 8
         assert len(res["prices_y"]) == 8
         assert (tmp_path / "sat" / "trace.csv").exists()
+
+    def test_unconverged_run_reports_the_returned_iterate(self, capsys, tmp_path):
+        # Cut after 8 sweeps, this run's last sweep is not its best.  The
+        # returned (x, y) is the best sweep's, and so is the reported violation.
+        votes, config = gen_k_approval(capsys, tmp_path)
+        raw = json.loads(Path(config).read_text(encoding="utf-8"))
+        Path(config).write_text(json.dumps({**raw, "heuristic": {"max_sweeps": 8}}))
+        rc, rep = run(capsys, "solve-sat", "--votes", votes, "--config", config,
+                      "--out", str(tmp_path / "sat"))
+        assert rc == 0
+        res = rep["result"]
+        assert res["converged"] is False
+        lines = (tmp_path / "sat" / "trace.csv").read_text().splitlines()[1:]
+        trace = [float(line.split(",")[1]) for line in lines]
+        assert trace[-1] > min(trace)
+        assert res["max_violation"] == pytest.approx(min(trace), rel=1e-11)
+        matrix, _, _ = parse_votes(votes)
+        inst = Instance(utilities=matrix, budget=raw["budget"],
+                        sizes=np.array([item["size"] for item in raw["items"]]))
+        result = heuristic_solve(inst, HeuristicConfig(max_sweeps=8, seed=raw["seed"]))
+        assert result.x.x.tolist() == res["allocation"]["x"]
+        lower, upper = heuristic_bounds(inst, result)
+        assert lower - 1e-12 <= res["max_violation"] <= upper + 1e-12
 
     def test_needs_sizes(self, capsys, tmp_path):
         rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
@@ -554,6 +580,18 @@ class TestReadme:
         entry = re.split(r"[;.]\n", readme.split(f"\n- `{block}`, for ", 1)[1], 1)[0]
         listed = re.findall(r"`(\w+)`", entry.split(":", 1)[1])
         assert listed == [f.name for f in dataclasses.fields(config_cls) if f.name != "seed"]
+
+    def test_library_quick_start_runs_as_printed(self, tmp_path):
+        readme = Path(__file__).parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        src = str(Path(budgetcore.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "None"  # no blocking coalition
 
     def test_command_block_runs_as_printed(self, tmp_path):
         readme = Path(__file__).parents[1] / "README.md"

@@ -23,7 +23,7 @@ from budgetcore.coreverify import (
     find_deviation_continuous,
     find_deviation_integral,
 )
-from budgetcore.lindahl import solve_proportional_fairness
+from budgetcore.lindahl import solve_potential
 from budgetcore.model import (
     Allocation,
     CobbDouglas,
@@ -114,7 +114,7 @@ class TestCertificate:
     def test_near_zero_epsilon_at_equilibrium(self):
         inst = minority_instance()
         model = Linear(inst.utilities)
-        result = solve_proportional_fairness(inst, model)
+        result = solve_potential(inst, model)
         cert = certify_from_residual(inst, model, result.x)
         assert isinstance(cert, CoreCertificate)
         assert cert.epsilon <= 1e-8
@@ -178,7 +178,7 @@ class TestContinuousOracle:
     def test_equilibrium_is_clean(self):
         inst = minority_instance(n=5)
         model = Linear(inst.utilities)
-        x = solve_proportional_fairness(inst, model).x
+        x = solve_potential(inst, model).x
         assert find_deviation_continuous(inst, model, x, grid_steps=100) is None
 
     def test_starved_majority_blocks(self):

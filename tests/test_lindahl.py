@@ -10,8 +10,7 @@ Reference points used here, all derivable by hand:
   item 2, linear -> x = B * (0.6, 0.3, 0.1) (the first two first-order
   conditions give x_0 = 2 x_1, the third x_2 = x_1 / 3).
 
-The entry points ``solve_proportional_fairness`` and ``solve_potential`` must
-both reach these where they apply.
+``solve_potential``, the one equilibrium entry point, must reach each of them.
 """
 
 import warnings
@@ -28,7 +27,6 @@ from budgetcore.lindahl import (
     recover_prices,
     sgd_elicitation,
     solve_potential,
-    solve_proportional_fairness,
 )
 from budgetcore.model import (
     CobbDouglas,
@@ -106,7 +104,7 @@ class TestResiduals:
 
 
 # ---------------------------------------------------------------------------
-# Proportional-fairness route
+# Proportional-fairness instances (linear, Cobb-Douglas)
 # ---------------------------------------------------------------------------
 
 
@@ -114,7 +112,7 @@ class TestProportionalFairness:
     def test_disjoint_groups_closed_form(self):
         counts = [7, 2, 1, 10]
         inst = disjoint_instance(counts, budget=5.0)
-        result = solve_proportional_fairness(inst, Linear(inst.utilities))
+        result = solve_potential(inst, Linear(inst.utilities))
         expect = 5.0 * np.array(counts) / sum(counts)
         assert result.converged
         assert np.max(np.abs(result.x.x - expect)) <= 1e-6
@@ -123,7 +121,7 @@ class TestProportionalFairness:
         for seed in range(5):
             inst = cd_instance(n=20, k=6, seed=seed)
             model = CobbDouglas(inst.utilities)
-            result = solve_proportional_fairness(inst, model)
+            result = solve_potential(inst, model)
             expect = (inst.budget / inst.n) * inst.utilities.sum(axis=0)
             assert result.converged
             assert np.max(np.abs(result.x.x - expect)) <= 1e-6
@@ -132,7 +130,7 @@ class TestProportionalFairness:
         e = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.7, 0.3, 0.0]])
         inst = Instance(utilities=e, budget=3.0)
         cfg = SolverConfig()
-        result = solve_proportional_fairness(inst, CobbDouglas(e), cfg)
+        result = solve_potential(inst, CobbDouglas(e), cfg)
         assert result.converged and result.iterations == 0
         assert result.x.x[:2] == pytest.approx([1.4, 1.6], abs=1e-12)
         assert result.x.x[2] == 1e-12 * 3.0  # the solvers' spend floor, 1e-12 * B
@@ -140,32 +138,26 @@ class TestProportionalFairness:
 
     def test_residual_tolerance_met(self):
         inst = disjoint_instance([4, 3, 3], budget=1.0)
-        result = solve_proportional_fairness(inst, Linear(inst.utilities))
+        result = solve_potential(inst, Linear(inst.utilities))
         assert max_condition_violation(inst, Linear(inst.utilities), result.x.x) <= 1e-8
-
-    def test_rejects_inhomogeneous_families(self):
-        inst = disjoint_instance([2, 2])
-        model = PowerSum(inst.utilities, np.array([0.5, 0.5]))
-        with pytest.raises(ModelError, match="homogeneous"):
-            solve_proportional_fairness(inst, model)
 
     def test_budget_exhausted(self):
         inst = cd_instance(n=10, k=4, seed=3, budget=7.0)
-        result = solve_proportional_fairness(inst, CobbDouglas(inst.utilities))
+        result = solve_potential(inst, CobbDouglas(inst.utilities))
         assert result.x.total() == pytest.approx(7.0, rel=1e-9)
 
     def test_trace_records_violation_decay(self):
         # Linear solves iterate; the Cobb-Douglas closed form records one entry.
         rng = np.random.default_rng(1)
         u = rng.uniform(0.05, 1.0, size=(30, 5))
-        result = solve_proportional_fairness(Instance(utilities=u, budget=2.0), Linear(u))
+        result = solve_potential(Instance(utilities=u, budget=2.0), Linear(u))
         trace = result.objective_trace
         assert len(trace) > 1 and all(len(row) == 2 for row in trace)
         iters = [it for it, _ in trace]
         assert iters == sorted(iters)
         assert trace[-1][1] <= 1e-8 < trace[0][1]
         inst = cd_instance(n=30, k=5, seed=1)
-        result = solve_proportional_fairness(inst, CobbDouglas(inst.utilities))
+        result = solve_potential(inst, CobbDouglas(inst.utilities))
         assert result.objective_trace == [(0, result.objective_trace[0][1])]
         assert result.objective_trace[0][1] <= 1e-8
 
@@ -176,7 +168,7 @@ class TestProportionalFairness:
         u = rng.uniform(0.1, 1.0, size=(3000, 10))
         inst = Instance(utilities=u, budget=1.0)
         t0 = time.perf_counter()
-        result = solve_proportional_fairness(inst, Linear(u))
+        result = solve_potential(inst, Linear(u))
         elapsed = time.perf_counter() - t0
         assert result.converged and elapsed < 2.0
 
@@ -188,16 +180,15 @@ class TestProportionalFairness:
 
 class TestPotentialSolver:
     def test_agrees_with_fast_path_on_linear(self):
-        # Both entry points against the hand-derived overlapping-groups
-        # equilibrium B * (0.6, 0.3, 0.1) from the module docstring.
+        # The hand-derived overlapping-groups equilibrium B * (0.6, 0.3, 0.1)
+        # from the module docstring.
         rows = [[1, 0, 0]] * 4 + [[0, 1, 0]] * 2 + [[1, 1, 0]] * 3 + [[0, 0, 1]]
         u = np.array(rows, dtype=float)
         inst = Instance(utilities=u, budget=3.0)
         expect = 3.0 * np.array([0.6, 0.3, 0.1])
-        for solve in (solve_proportional_fairness, solve_potential):
-            result = solve(inst, Linear(u))
-            assert result.converged
-            assert np.max(np.abs(result.x.x - expect)) <= 1e-6
+        result = solve_potential(inst, Linear(u))
+        assert result.converged
+        assert np.max(np.abs(result.x.x - expect)) <= 1e-6
 
     def test_single_voter_power_closed_form(self):
         # One voter, equal exponents a: the equilibrium maximizes the voter's
@@ -225,9 +216,8 @@ class TestPotentialSolver:
         inst = Instance(
             utilities=[[1.0, 1.0]], budget=1.0, sizes=np.array([0.6, 0.6])
         )
-        for model in (Saturating(inst.utilities, inst.sizes), CobbDouglas([[0.5, 0.5]])):
-            with pytest.raises(ModelError, match="non-satiating"):
-                solve_potential(inst, model)
+        with pytest.raises(ModelError, match="non-satiating"):
+            solve_potential(inst, Saturating(inst.utilities, inst.sizes))
 
     def test_unvalued_item_with_small_exponent_reaches_the_floor(self):
         # Item 2 is valued by nobody.  With alpha < 1 its spend must fall
@@ -259,16 +249,16 @@ class TestPrices:
         rng = np.random.default_rng(2)
         u = rng.uniform(0.1, 1.0, size=(12, 4))
         inst = Instance(utilities=u, budget=3.0)
-        result = solve_proportional_fairness(inst, Linear(u))
+        result = solve_potential(inst, Linear(u))
         prices = recover_prices(inst, Linear(u), result.x)
-        spend = prices.p @ result.x.x
+        spend = prices @ result.x.x
         assert spend == pytest.approx(np.full(12, 3.0 / 12), rel=1e-9)
 
     def test_item_price_sums_near_one(self):
         inst = disjoint_instance([4, 6], budget=1.0)
-        result = solve_proportional_fairness(inst, Linear(inst.utilities))
+        result = solve_potential(inst, Linear(inst.utilities))
         prices = recover_prices(inst, Linear(inst.utilities), result.x)
-        assert prices.p.sum(axis=0) == pytest.approx(np.ones(2), abs=1e-7)
+        assert prices.sum(axis=0) == pytest.approx(np.ones(2), abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

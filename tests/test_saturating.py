@@ -1,19 +1,13 @@
-"""Saturating-utility solvers: smoothed relaxation and the worst-item heuristic."""
+"""Saturating utilities: the smoothed relaxation and the worst-item heuristic."""
 
 import numpy as np
 import pytest
 
 from budgetcore import saturating
 from budgetcore.ballots import gen_synthetic
-from budgetcore.lindahl import lindahl_residuals
+from budgetcore.lindahl import lindahl_residuals, solve_potential
 from budgetcore.model import Instance, SmoothedSaturating
-from budgetcore.saturating import (
-    HeuristicConfig,
-    heuristic_solve,
-    smooth_relax,
-    smoothing_alpha,
-    solve_smoothed,
-)
+from budgetcore.saturating import HeuristicConfig, heuristic_solve, smoothing_alpha
 
 
 def approval_instance(n=50, k=8, seed=0, budget=1.0):
@@ -61,24 +55,11 @@ class TestSmoothing:
         assert smoothing_alpha(8.0, 2.0, 0.5) == pytest.approx(2 * 2.0 + 1 - 2)
         assert smoothing_alpha(5.0, 5.0, 0.3) == pytest.approx(1.0)
 
-    def test_relax_keeps_data(self):
-        inst = approval_instance(n=10, k=4)
-        from budgetcore.model import Saturating
-
-        hard = Saturating(inst.utilities, inst.sizes)
-        soft = smooth_relax(hard, 0.4)
-        assert isinstance(soft, SmoothedSaturating)
-        assert np.array_equal(soft.sizes, hard.sizes)
-        assert soft.eps_smooth == 0.4
-
     def test_solve_smoothed_converges(self):
         inst = approval_instance(n=30, k=5, seed=2)
-        result, alpha = solve_smoothed(inst, eps_smooth=0.5)
-        assert result.converged
-        assert alpha == pytest.approx(
-            smoothing_alpha(inst.budget, float(inst.sizes.min()), 0.5)
-        )
         model = SmoothedSaturating(inst.utilities, inst.sizes, 0.5)
+        result = solve_potential(inst, model)
+        assert result.converged
         res = lindahl_residuals(inst, model, result.x.x)
         funded = result.x.x > 1e-9
         viol = np.where(funded, np.abs(res), np.maximum(res, 0.0)).max()
