@@ -21,11 +21,14 @@ convex-program route does not apply directly.  Two workarounds:
   on a bracket around the root, first in x_j at y_j = 1/s_j, then in y_j at
   x_j = s_j if the spend saturates.  Utilities are jittered once up front to
   break degeneracies; convergence is not guaranteed and is reported honestly.
+  A sweep costs one n x k product (every lhs_j) plus O(n) per root evaluation:
+  the voters' denominators are carried across sweeps and updated for item j.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -53,13 +56,24 @@ class HeuristicConfig:
     """Knobs for ``heuristic_solve``.
 
     ``eps_target`` defaults to 1/n and ``perturb_alpha`` to 1/k^2 at solve
-    time (both depend on the instance, hence the None sentinel).
+    time (both depend on the instance, hence the None sentinel).  Otherwise
+    ``eps_target`` is finite and > 0, ``perturb_alpha`` finite and >= 0, and
+    ``max_sweeps`` an integer >= 1; anything else raises ``ValueError``.
     """
 
     eps_target: Optional[float] = None
     perturb_alpha: Optional[float] = None
     max_sweeps: int = 10_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        eps, pert = self.eps_target, self.perturb_alpha
+        if eps is not None and not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
+            raise ValueError(f"eps_target must be None or finite and > 0, got {eps!r}")
+        if pert is not None and not (isinstance(pert, numbers.Real) and 0 <= pert < math.inf):
+            raise ValueError(f"perturb_alpha must be None or finite and >= 0, got {pert!r}")
 
     def resolve(self, n: int, k: int) -> Tuple[float, float]:
         eps = 1.0 / n if self.eps_target is None else self.eps_target
@@ -74,8 +88,8 @@ class HeuristicResult:
     max_violation_trace: list = field(default_factory=list)
     converged: bool = False
     perturbed_utilities: Optional[np.ndarray] = None
-    # True when the converged spend misses the budget by more than eps * B
-    # (reported, never silently rescaled).
+    # True when the returned spend, converged or not, misses the budget by
+    # more than eps * B (reported, never silently rescaled).
     budget_flagged: bool = False
 
 
@@ -86,16 +100,16 @@ def smoothing_alpha(budget: float, s_min: float, eps_smooth: float) -> float:
     return (budget / s_min) ** e / e + 1.0 - 1.0 / e
 
 
-def _gaps(u: np.ndarray, rest: np.ndarray, x: float, y: float,
-          scale: float) -> Tuple[float, float, float, float]:
+def _gaps(w: np.ndarray, x: float, y: float, scale: float) -> Tuple[float, float, float, float]:
     """(1 - 1/lhs_j, its x_j-derivative, 1 - lhs_j, its y_j-derivative) at (x, y).
 
-    ``u`` and ``rest`` hold the voters with u_ij > 0.  Each gap is decreasing
+    ``w`` holds rest_i / u_ij, +inf for voters with u_ij = 0, so voter i's term
+    u_ij / (rest_i + u_ij x y) is 1 / (w_i + x y).  Each gap is decreasing
     and convex in its variable: 1/lhs_j is a harmonic mean of affine functions
     of x_j (linear for one voter), and lhs_j is increasing and concave in y_j.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = u / (rest + u * x * y)  # +inf at x = 0 for a voter with rest 0
+        t = 1.0 / (w + x * y)  # +inf at x = 0 for a voter with rest 0
         s1, s2 = float(t.sum()), float(t @ t)
     lhs = scale * y * s1
     if lhs == 0.0:
@@ -133,23 +147,22 @@ def _resolve_item(u_col: np.ndarray, s_j: float, rest: np.ndarray, scale: float,
     Returns (x_j, y_j, pinned); pinned means the item saturates and no
     subgradient choice can reach equality (its lhs is then judged one-sidedly).
     """
-    support = u_col > 0
-    u, rest = u_col[support], rest[support]
+    w = np.divide(rest, u_col, out=np.full_like(rest, np.inf), where=u_col > 0)
     slope = 1.0 / s_j
-    at_zero = _gaps(u, rest, 0.0, slope, scale)[:2]
+    at_zero = _gaps(w, 0.0, slope, scale)[:2]
     if at_zero[0] <= 0.0:
         # Equality would need negative spend; the inequality holds at zero.
         return 0.0, slope, False
-    if _gaps(u, rest, s_j, slope, scale)[0] < 0.0:
-        xj = _decreasing_root(lambda x: _gaps(u, rest, x, slope, scale)[:2],
+    if _gaps(w, s_j, slope, scale)[0] < 0.0:
+        xj = _decreasing_root(lambda x: _gaps(w, x, slope, scale)[:2],
                               0.0, s_j, at_zero, tol * max(s_j, 1.0))
         return xj, slope, False
     # Saturates: clamp the spend and search the subgradient instead.
     lo = _Y_BRACKET_FLOOR * slope
-    at_lo = _gaps(u, rest, s_j, lo, scale)[2:]
+    at_lo = _gaps(w, s_j, lo, scale)[2:]
     if at_lo[0] <= 0.0:
         return s_j, slope, True
-    yj = _decreasing_root(lambda y: _gaps(u, rest, s_j, y, scale)[2:],
+    yj = _decreasing_root(lambda y: _gaps(w, s_j, y, scale)[2:],
                           lo, slope, at_lo, tol * slope)
     return s_j, yj, False
 
@@ -180,9 +193,9 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
         )
 
     rng = np.random.default_rng(cfg.seed)
-    u = inst.utilities.copy()
+    u = np.array(inst.utilities, order="F")  # columns u[:, j] are contiguous
     if perturb > 0:
-        u = u + rng.uniform(0.0, perturb, size=u.shape)
+        u += rng.uniform(0.0, perturb, size=u.shape)
     scale = B / n
 
     x = np.minimum(sizes, B / k)
@@ -191,10 +204,10 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
     trace = []
     best = (np.inf, x.copy(), y.copy())
     converged = False
+    contrib = x * y
+    denom = u @ contrib  # kept up to date item by item below
 
     for sweep in range(1, cfg.max_sweeps + 1):
-        contrib = x * y
-        denom = u @ contrib
         with np.errstate(divide="ignore"):
             inv = 1.0 / denom
         lhs = scale * y * (u.T @ inv)
@@ -214,19 +227,19 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
         j = int(np.argmax(viol))
         rest = denom - u[:, j] * contrib[j]
         xj, yj, pin = _resolve_item(u[:, j], float(sizes[j]), rest, scale, _ROOT_TOL)
-        x[j], y[j] = xj, yj
+        x[j], y[j], contrib[j] = xj, yj, xj * yj
+        denom = rest + u[:, j] * contrib[j]
         # Any move elsewhere can unpin an item, so pins survive one sweep only.
         pinned[:] = False
         pinned[j] = pin
 
     if not converged:
         _, x, y = best
-    budget_flagged = converged and abs(x.sum() - B) > eps_target * B
     return HeuristicResult(
         x=Allocation(x),
         y=y,
         max_violation_trace=trace,
         converged=converged,
         perturbed_utilities=u,
-        budget_flagged=budget_flagged,
+        budget_flagged=bool(abs(x.sum() - B) > eps_target * B),
     )

@@ -462,6 +462,20 @@ class TestErrors:
         assert err["error"]["type"] == "ModelError"
         assert "'alpah'" in err["error"]["message"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_sweeps", 0), ("eps_target", -1.0), ("perturb_alpha", float("nan")),
+    ])
+    def test_out_of_range_heuristic_value_is_an_error_report(self, capsys, tmp_path,
+                                                             key, value):
+        votes, config = gen_k_approval(capsys, tmp_path)
+        raw = json.loads(Path(config).read_text(encoding="utf-8"))
+        Path(config).write_text(json.dumps({**raw, "heuristic": {key: value}}))
+        rc, err = run(capsys, "solve-sat", "--votes", votes, "--config", config,
+                      "--out", str(tmp_path / "sat"))
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert key in err["error"]["message"]
+
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
                       "--param", "p0.5", "--out", str(tmp_path))

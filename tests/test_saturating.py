@@ -48,6 +48,21 @@ class TestConfig:
         cfg = HeuristicConfig(eps_target=0.01, perturb_alpha=0.0)
         assert cfg.resolve(10, 10) == (0.01, 0.0)
 
+    @pytest.mark.parametrize("value", [0, -2, 2.5, "3", None])
+    def test_max_sweeps_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            HeuristicConfig(max_sweeps=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, "0.01"])
+    def test_eps_target_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="eps_target"):
+            HeuristicConfig(eps_target=value)
+
+    @pytest.mark.parametrize("value", [-1e-3, np.nan, np.inf, -np.inf, "0"])
+    def test_perturb_alpha_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="perturb_alpha"):
+            HeuristicConfig(perturb_alpha=value)
+
 
 class TestSmoothing:
     def test_alpha_formula(self):
@@ -127,6 +142,16 @@ class TestHeuristic:
         assert len(result.max_violation_trace) == 1
         full = heuristic_solve(inst)
         assert full.max_violation_trace[-1][1] <= result.max_violation_trace[0][1]
+
+    def test_unconverged_budget_miss_is_flagged(self):
+        # Cut after 3 sweeps, the returned spend misses B = 1000 by about 83,
+        # far beyond eps * B = 25; the flag must say so although the run
+        # did not converge.
+        inst = approval_instance(n=40, k=8, seed=2, budget=1000.0)
+        result = heuristic_solve(inst, HeuristicConfig(max_sweeps=3))
+        assert not result.converged
+        assert abs(result.x.x.sum() - inst.budget) > inst.budget / 40
+        assert result.budget_flagged
 
     def test_eps_target_override(self):
         inst = approval_instance(n=30, k=6, seed=5)
@@ -219,3 +244,111 @@ class TestItemResolve:
         assert result.converged and len(per_item) > 10
         # Bisection to the 1e-10 bracket takes about 35 evaluations an item.
         assert np.mean(per_item) <= 12 and max(per_item) <= 12
+
+
+def reference_gaps(u, rest, x, y, scale):
+    """The item gaps of ``saturating._gaps`` in the direct form
+    u / (rest + u x y), over the voters with u_ij > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = u / (rest + u * x * y)
+        s1, s2 = float(t.sum()), float(t @ t)
+    lhs = scale * y * s1
+    if lhs == 0.0:
+        return -np.inf, np.nan, 1.0, np.nan
+    return 1.0 - 1.0 / lhs, -s2 / (scale * s1 * s1), 1.0 - lhs, scale * (x * y * s2 - s1)
+
+
+def direct_resolve(u_col, s_j, rest, scale, tol):
+    """``saturating._resolve_item`` with the gaps in direct form on the
+    gathered support of u_ij > 0; the same branches and root finder."""
+    support = u_col > 0
+    u, rest = u_col[support], rest[support]
+    gaps = lambda x, y: reference_gaps(u, rest, x, y, scale)  # noqa: E731
+    slope = 1.0 / s_j
+    at_zero = gaps(0.0, slope)[:2]
+    if at_zero[0] <= 0.0:
+        return 0.0, slope, False
+    if gaps(s_j, slope)[0] < 0.0:
+        xj = saturating._decreasing_root(lambda x: gaps(x, slope)[:2], 0.0, s_j, at_zero,
+                                         tol * max(s_j, 1.0))
+        return xj, slope, False
+    lo = saturating._Y_BRACKET_FLOOR * slope
+    at_lo = gaps(s_j, lo)[2:]
+    if at_lo[0] <= 0.0:
+        return s_j, slope, True
+    yj = saturating._decreasing_root(lambda y: gaps(s_j, y)[2:], lo, slope, at_lo, tol * slope)
+    return s_j, yj, False
+
+
+def reference_heuristic(inst, cfg):
+    """The worst-item sweep with every quantity recomputed from scratch, kept
+    as the reference for ``heuristic_solve``'s carried denominators and
+    reciprocal-form item re-solve.
+
+    Every sweep forms u @ (x*y) afresh and every root evaluation
+    u / (rest + u x y) on the gathered support; the root finder is the same
+    safeguarded Newton.  Returns (x, trace, converged).
+    """
+    sizes, n, k, B = inst.sizes, inst.n, inst.k, inst.budget
+    eps_target, perturb = cfg.resolve(n, k)
+    rng = np.random.default_rng(cfg.seed)
+    u = inst.utilities.copy()
+    if perturb > 0:
+        u = u + rng.uniform(0.0, perturb, size=u.shape)
+    scale = B / n
+    x, y = np.minimum(sizes, B / k), 1.0 / sizes
+    pinned = np.zeros(k, dtype=bool)
+    trace, best, converged = [], (np.inf, x.copy(), y.copy()), False
+    for sweep in range(1, cfg.max_sweeps + 1):
+        contrib = x * y
+        denom = u @ contrib
+        with np.errstate(divide="ignore"):
+            over = scale * y * (u.T @ (1.0 / denom)) - 1.0
+        viol = np.where(x == 0.0, np.maximum(over, 0.0),
+                        np.where(pinned, np.maximum(-over, 0.0), np.abs(over)))
+        trace.append((sweep, float(viol.max())))
+        if trace[-1][1] < best[0]:
+            best = (trace[-1][1], x.copy(), y.copy())
+        if trace[-1][1] <= eps_target:
+            converged = True
+            break
+        j = int(np.argmax(viol))
+        rest = denom - u[:, j] * contrib[j]
+        x[j], y[j], pin = direct_resolve(u[:, j], float(sizes[j]), rest, scale,
+                                         saturating._ROOT_TOL)
+        pinned[:] = False
+        pinned[j] = pin
+    if not converged:
+        _, x, y = best
+    return x, trace, converged
+
+
+class TestReferenceSweep:
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_matches_from_scratch_reference(self, n):
+        for seed in range(5):
+            inst = gen_synthetic("k-approval", n=n, k=10, seed=seed)
+            cfg = HeuristicConfig(seed=seed)
+            got = heuristic_solve(inst, cfg)
+            x, trace, converged = reference_heuristic(inst, cfg)
+            assert len(got.max_violation_trace) == len(trace)
+            assert got.converged == converged
+            assert np.abs(got.x.x - x).max() <= 1e-9 * inst.budget
+
+    def test_kept_denominators_do_not_drift(self):
+        # 2000 unconverged sweeps each update the denominators in place; the
+        # violation they report for the returned iterate must still be the
+        # one recomputed from scratch.  At most one saturated item is pinned
+        # (one-sided), and which one is internal, so every choice is tried.
+        inst = gen_synthetic("k-approval", n=2000, k=10, seed=5)
+        result = heuristic_solve(inst, HeuristicConfig(eps_target=1e-13, max_sweeps=2000, seed=5))
+        assert not result.converged and len(result.max_violation_trace) == 2000
+        u, x, y = result.perturbed_utilities, result.x.x, result.y
+        over = (inst.budget / inst.n) * y * (u.T @ (1.0 / (u @ (x * y)))) - 1.0
+        viol = np.where(x == 0.0, np.maximum(over, 0.0), np.abs(over))
+        saturated = np.flatnonzero(x == inst.sizes)
+        candidates = [viol.max()] + [
+            np.where(np.arange(inst.k) == j, max(-over[j], 0.0), viol).max() for j in saturated
+        ]
+        reported = min(v for _, v in result.max_violation_trace)
+        assert min(abs(reported - c) for c in candidates) <= 1e-12
