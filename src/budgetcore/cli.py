@@ -11,9 +11,13 @@ Subcommands map one-to-one onto the library layers:
 * ``analyze``    -- pairwise independence tests + clustering merge list
 * ``gen``        -- synthetic votes CSV from a named profile
 
-Every run writes a JSON report that is byte-identical across repeat runs with
-the same inputs, seed, and config, except for the ``timing`` block.  Failures
-print a machine-readable error JSON and exit nonzero.  Money is parsed into
+``run_command`` is the one report pipeline: it loads the votes (every command
+but ``gen``), builds the report skeleton, lets the ``_cmd_*`` function fill
+``result`` and ``artifacts``, converts library results (dataclasses included,
+field by field) to JSON, writes ``report.json`` and returns the text ``main``
+prints.  The report is byte-identical across repeat runs with the same inputs,
+seed, and config, except for the ``timing`` block.  Failures print a
+machine-readable error JSON and exit nonzero.  Money is parsed into
 integer cents at the boundary and converted back only for solvers, so repeated
 IO round-trips cannot drift budgets.
 """
@@ -26,7 +30,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -115,8 +119,12 @@ class ElectionConfig:
         budget_cents = _to_cents(raw.get("budget", 1.0), "budget")
         sizes = None
         if "items" in raw:
+            if not isinstance(raw["items"], list):
+                raise CliError(f"config {source}: 'items' must be a JSON list")
             sizes = {}
             for entry in raw["items"]:
+                if not isinstance(entry, dict):
+                    raise CliError(f"config {source}: item entry {entry!r} is not a JSON object")
                 name = entry.get("name")
                 if not name:
                     raise CliError(f"config {source}: item entry missing 'name'")
@@ -127,6 +135,8 @@ class ElectionConfig:
                 )
         model = dict(raw.get("utility_model", {"family": "linear"}))
         family = model.pop("family", "linear")
+        if not isinstance(family, str):
+            raise CliError(f"config {source}: utility_model 'family' must be a string")
         blocks = {}
         for name, knobs in _CONFIG_BLOCKS.items():
             block = raw.get(name, {})
@@ -167,12 +177,12 @@ class ElectionConfig:
 
 
 def _jsonable(obj):
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Allocation):
-        return {"kind": obj.kind.value, "x": [float(v) for v in obj.x]}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, np.generic):
@@ -190,18 +200,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_report(out_dir: Path, report: dict, started: float) -> Path:
-    report = _jsonable(report)
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    path = out_dir / "report.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _write_trace(out_dir: Path, trace, name: str = "trace.csv") -> str:
-    path = out_dir / name
+def _write_trace(out_dir: Path, trace) -> str:
+    path = out_dir / "trace.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,max_violation\n")
         for it, viol in trace:
@@ -210,7 +210,7 @@ def _write_trace(out_dir: Path, trace, name: str = "trace.csv") -> str:
 
 
 def _load_instance(args, cfg: ElectionConfig) -> tuple[Instance, dict]:
-    if not getattr(args, "votes", None):
+    if not args.votes:
         raise CliError("this command needs --votes PATH")
     matrix, names, _ = parse_votes(args.votes)
     sizes = None
@@ -238,33 +238,21 @@ def _load_instance(args, cfg: ElectionConfig) -> tuple[Instance, dict]:
     return inst, meta
 
 
-def _base_report(command: str, cfg: ElectionConfig, input_meta: dict) -> dict:
-    return {
-        "tool": {"name": "budgetcore", "version": __version__},
-        "command": command,
-        "config": cfg.echo(),
-        "input": input_meta,
-        "artifacts": {},
-        "result": {},
-    }
-
-
 def _certificate(cert: CoreCertificate) -> dict:
     return {**asdict(cert), "budget_ok": cert.budget_ok}
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each gets the loaded instance (None for ``gen``) and the report
+# skeleton, returns the report's ``result`` and may add ``artifacts``
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(args, cfg: ElectionConfig, out_dir: Path) -> dict:
-    inst, meta = _load_instance(args, cfg)
+def _cmd_solve(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     model = make_model(inst, cfg.model_family, **cfg.model_params)
     result = solve_potential(inst, model, SolverConfig(**cfg.solver))
-    report = _base_report("solve", cfg, meta)
     report["artifacts"]["trace_csv"] = _write_trace(out_dir, result.objective_trace)
-    report["result"] = {
+    return {
         "allocation": result.x,
         "item_names": list(inst.item_names),
         "residuals": result.residuals,
@@ -275,17 +263,14 @@ def _cmd_solve(args, cfg: ElectionConfig, out_dir: Path) -> dict:
             residual_certificate(result.residuals, result.x, inst.budget)
         ),
     }
-    return report
 
 
-def _cmd_solve_sat(args, cfg: ElectionConfig, out_dir: Path) -> dict:
-    inst, meta = _load_instance(args, cfg)
+def _cmd_solve_sat(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     inst.require_sizes()
     heur_cfg = HeuristicConfig(seed=cfg.seed, **cfg.heuristic)
     result = heuristic_solve(inst, heur_cfg)
-    report = _base_report("solve-sat", cfg, meta)
     report["artifacts"]["trace_csv"] = _write_trace(out_dir, result.max_violation_trace)
-    report["result"] = {
+    return {
         "allocation": result.x,
         "item_names": list(inst.item_names),
         "prices_y": result.y,
@@ -295,7 +280,6 @@ def _cmd_solve_sat(args, cfg: ElectionConfig, out_dir: Path) -> dict:
         # The returned iterate is the best sweep's, also when not converged.
         "max_violation": min((float(v) for _, v in result.max_violation_trace), default=None),
     }
-    return report
 
 
 def _read_allocation(path, k: int) -> np.ndarray:
@@ -312,39 +296,25 @@ def _read_allocation(path, k: int) -> np.ndarray:
     return x
 
 
-def _cmd_check_core(args, cfg: ElectionConfig, out_dir: Path) -> dict:
-    inst, meta = _load_instance(args, cfg)
+def _cmd_check_core(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     if not args.allocation:
         raise CliError("check-core needs --allocation PATH (JSON spend vector)")
     x = _read_allocation(args.allocation, inst.k)
     model = make_model(inst, cfg.model_family, **cfg.model_params)
-    report = _base_report("check-core", cfg, meta)
     report["input"]["allocation"] = str(args.allocation)
     result = {"allocation": x, "certificate": _certificate(certify_from_residual(inst, model, x))}
     try:
-        dev = find_deviation_continuous(
+        result["deviation"] = find_deviation_continuous(
             inst, model, x, grid_steps=args.grid, mode=args.mode, threshold=args.threshold
         )
-        if dev is None:
-            result["deviation"] = None
-        else:
-            result["deviation"] = {
-                "coalition": list(dev.coalition),
-                "y": dev.y,
-                "min_gain": dev.min_gain,
-                "mode": dev.mode,
-            }
     except InstanceTooLarge as e:
         result["deviation_search_skipped"] = str(e)
-    report["result"] = result
-    return report
+    return result
 
 
-def _cmd_mechanism(args, cfg: ElectionConfig, out_dir: Path) -> dict:
-    inst, meta = _load_instance(args, cfg)
+def _cmd_mechanism(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     mech_cfg = MechanismConfig(seed=cfg.seed, **cfg.mechanism)
     allocation, diagnostics = sample_mechanism(inst, mech_cfg)
-    report = _base_report("mechanism", cfg, meta)
     result = {
         "allocation": allocation,
         "item_names": list(inst.item_names),
@@ -354,18 +324,15 @@ def _cmd_mechanism(args, cfg: ElectionConfig, out_dir: Path) -> dict:
         result["core_bound"] = approximation_certificate(inst, allocation, mech_cfg)
     except MechanismError as e:
         result["core_bound_unavailable"] = str(e)
-    report["result"] = result
-    return report
+    return result
 
 
-def _cmd_compare(args, cfg: ElectionConfig, out_dir: Path) -> dict:
-    inst, meta = _load_instance(args, cfg)
+def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     sizes = inst.require_sizes()
     heur_cfg = HeuristicConfig(seed=cfg.seed, **cfg.heuristic)
     core_solution = heuristic_solve(inst, heur_cfg)
     core = rank_and_round(inst, Scheme.CORE, fractional_core=core_solution.x)
     welfare = rank_and_round(inst, Scheme.WELFARE)
-    similarity = compare_schemes(core, welfare, inst.budget)
 
     votes = vote_counts(inst)
     core_fill = core.fractional.x / sizes
@@ -380,9 +347,8 @@ def _cmd_compare(args, cfg: ElectionConfig, out_dir: Path) -> dict:
                 f"{core_fill[j]:.2f},{welfare_fill[j]:.2f}\n"
             )
 
-    report = _base_report("compare", cfg, meta)
     report["artifacts"]["table_csv"] = str(table_path)
-    report["result"] = {
+    return {
         "core": {
             "order": core.order,
             "fractional": core.fractional,
@@ -394,38 +360,24 @@ def _cmd_compare(args, cfg: ElectionConfig, out_dir: Path) -> dict:
             "fractional": welfare.fractional,
             "integral": welfare.integral,
         },
-        "similarity": {
-            "jaccard": similarity.jaccard,
-            "budget_similarity": similarity.budget_similarity,
-        },
+        "similarity": compare_schemes(core, welfare, inst.budget),
     }
-    return report
 
 
-def _cmd_analyze(args, cfg: ElectionConfig, out_dir: Path) -> dict:
-    inst, meta = _load_instance(args, cfg)
+def _cmd_analyze(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     rep = chi2_pairwise(inst, dof=args.dof, alpha=args.alpha)
     dendro_path = out_dir / "dendrogram.csv"
     with open(dendro_path, "w", encoding="utf-8") as fh:
         fh.write("cluster_a,cluster_b,height\n")
         for a, b, h in rep.merges:
             fh.write(f"{a},{b},{h:.6g}\n")
-    report = _base_report("analyze", cfg, meta)
     report["artifacts"]["dendrogram_csv"] = str(dendro_path)
-    report["result"] = {
-        "p_values": [[None if not np.isfinite(v) else float(v) for v in row] for row in rep.p_values],
-        "correlated": rep.correlated,
-        "merges": rep.merges,
-        "clustered_items": rep.clustered_items,
-        "degenerate_items": rep.degenerate_items,
-        "dof": rep.dof,
-        "alpha": rep.alpha,
-        "sample_ok": rep.sample_ok,
-    }
-    return report
+    # Undefined p-values (degenerate items) are null, not "nan".
+    p_values = [[None if not np.isfinite(v) else float(v) for v in row] for row in rep.p_values]
+    return {**vars(rep), "p_values": p_values}
 
 
-def _cmd_gen(args, cfg: ElectionConfig, out_dir: Path) -> dict:
+def _cmd_gen(args, cfg: ElectionConfig, _, out_dir: Path, report: dict) -> dict:
     params = {}
     for pair in args.param or []:
         if "=" not in pair:
@@ -452,17 +404,15 @@ def _cmd_gen(args, cfg: ElectionConfig, out_dir: Path) -> dict:
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(feedback), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    report = _base_report("gen", cfg, {"generated": True})
     report["artifacts"]["votes_csv"] = str(votes_path)
     report["artifacts"]["config_json"] = str(config_path)
-    report["result"] = {
+    return {
         "profile": args.profile,
         "voters": inst.n,
         "items": inst.k,
         "sha256": _sha256(votes_path),
         "sizes": inst.sizes,
     }
-    return report
 
 
 _COMMANDS = {
@@ -476,12 +426,24 @@ _COMMANDS = {
 }
 
 
-def run_command(command: str, args, cfg: ElectionConfig, out_dir: Path) -> Path:
-    """Dispatch one subcommand and write its report; returns the report path."""
+def run_command(command: str, args, cfg: ElectionConfig, out_dir: Path) -> str:
+    """Run one subcommand, write its ``report.json`` and return the report text."""
     started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _COMMANDS[command](args, cfg, out_dir)
-    return _write_report(out_dir, report, started)
+    inst, meta = (None, {"generated": True}) if command == "gen" else _load_instance(args, cfg)
+    report = {
+        "tool": {"name": "budgetcore", "version": __version__},
+        "command": command,
+        "config": cfg.echo(),
+        "input": meta,
+        "artifacts": {},
+    }
+    report["result"] = _COMMANDS[command](args, cfg, inst, out_dir, report)
+    report = _jsonable(report)
+    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    (out_dir / "report.json").write_text(text, encoding="utf-8")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -549,14 +511,13 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "budget", None) is not None:
             cfg = replace(cfg, budget_cents=_to_cents(args.budget, "budget"))
-        report_path = run_command(args.command, args, cfg, Path(args.out))
+        text = run_command(args.command, args, cfg, Path(args.out))
     except (ValueError, OSError) as e:
         # Covers CliError, BallotError, model/solver validation errors, and IO.
         error = {"error": {"type": type(e).__name__, "message": str(e)}}
         print(json.dumps(error, indent=2, sort_keys=True))
         return 1
-    with open(report_path, "r", encoding="utf-8") as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(text)
     return 0
 
 

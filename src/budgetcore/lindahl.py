@@ -35,6 +35,8 @@ package's one optimization engine, a projected damped Newton method.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -89,10 +91,19 @@ class SolverConfig:
 
     The spend floor (1e-12 * B) and the funded rule are not knobs: the core
     certificate has no config, yet must judge the same items funded.
+    ``residual_tol`` is finite and >= 0 and ``max_iters`` an integer >= 0;
+    anything else raises ``ValueError``.
     """
 
     residual_tol: float = 1e-8
     max_iters: int = 50_000
+
+    def __post_init__(self) -> None:
+        tol = self.residual_tol
+        if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+            raise ValueError(f"residual_tol must be finite and >= 0, got {tol!r}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 @dataclass

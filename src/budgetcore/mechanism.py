@@ -36,6 +36,7 @@ one stream of randomness so that identical reports yield identical chains.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -89,6 +90,7 @@ class MechanismConfig:
     ``chain_steps`` is the length of the single draw's chain, whose final
     state is the draw, and of the manipulation chains.  :func:`sample_chain`
     and :func:`manipulation_sweep` discard the first ``burn_in`` states.
+    A value of the wrong type or out of range raises ``MechanismError``.
     """
 
     gamma: float = 0.5
@@ -98,14 +100,16 @@ class MechanismConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise MechanismError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.epsilon_priv > 0.0:
-            raise MechanismError(f"epsilon_priv must be positive, got {self.epsilon_priv}")
-        if self.chain_steps <= 0:
-            raise MechanismError("chain_steps must be positive")
-        if self.burn_in < 0:
-            raise MechanismError("burn_in must be nonnegative")
+        gamma, eps = self.gamma, self.epsilon_priv
+        if not (isinstance(gamma, numbers.Real) and 0.0 < gamma < 1.0):
+            raise MechanismError(f"gamma must lie in (0, 1), got {gamma!r}")
+        if not (isinstance(eps, numbers.Real) and eps > 0.0):
+            raise MechanismError(f"epsilon_priv must be positive, got {eps!r}")
+        steps, burn = self.chain_steps, self.burn_in
+        if not (isinstance(steps, numbers.Integral) and steps > 0):
+            raise MechanismError(f"chain_steps must be a positive integer, got {steps!r}")
+        if not (isinstance(burn, numbers.Integral) and burn >= 0):
+            raise MechanismError(f"burn_in must be a nonnegative integer, got {burn!r}")
 
 
 @dataclass(frozen=True)

@@ -419,7 +419,9 @@ class Saturating(_ScalarSeparable):
         return np.where(rel <= 1.0 + _KINK_RTOL, 1.0 / self.sizes, 0.0)
 
     def zvec(self, x):
-        return np.minimum(np.asarray(x, dtype=float) / self.sizes, 1.0)
+        # x f'(x): the full x/s_j up to the cap, 0 past fprime's kink band.
+        rel = np.asarray(x, dtype=float) / self.sizes
+        return np.where(rel <= 1.0 + _KINK_RTOL, np.minimum(rel, 1.0), 0.0)
 
     def kink_mask(self, x) -> np.ndarray:
         rel = allocation_vector(x) / self.sizes
@@ -474,7 +476,7 @@ class SmoothedSaturating(_ScalarSeparable):
 
 # The one parameter each family takes (None: it takes none).
 _FAMILY_PARAM = {"linear": None, "powersum": "alpha", "cobbdouglas": None, "saturating": None,
-                 "smoothed": "eps_smooth", "smoothedsaturating": "eps_smooth"}
+                 "smoothed": "eps_smooth"}
 
 
 def make_model(inst: Instance, family: str, **params) -> UtilityModel:

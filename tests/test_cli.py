@@ -105,13 +105,30 @@ class TestSolve:
         assert trace[0] == "iteration,max_violation"
         assert len(trace) >= 2
 
-    def test_report_is_deterministic_modulo_timing(self, capsys, tmp_path):
-        votes = self.disjoint(capsys, tmp_path)
+    @pytest.mark.parametrize("command", [
+        "solve", "solve-sat", "check-core", "mechanism", "compare", "analyze", "gen",
+    ])
+    def test_report_is_deterministic_modulo_timing(self, capsys, tmp_path, command):
+        # stdout is report.json byte for byte, and a rerun differs only in timing.
+        votes, config = gen_k_approval(capsys, tmp_path)
+        raw = json.loads(Path(config).read_text(encoding="utf-8"))
+        mech = {"gamma": 0.9, "chain_steps": 2000, "burn_in": 0}
+        Path(config).write_text(json.dumps({**raw, "mechanism": mech}))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"x": [125.0] * 8}))
+        argv = {
+            "gen": ["--profile", "k-approval", "--n", "40", "--k", "8", "--seed", "2",
+                    "--budget", "1000"],
+            "check-core": ["--votes", votes, "--config", config, "--allocation", str(alloc)],
+        }.get(command, ["--votes", votes, "--config", config])
         out = tmp_path / "same"
         reports = []
         for _ in range(2):
-            rc, rep = run(capsys, "solve", "--votes", votes, "--out", str(out))
-            assert rc == 0
+            rc = main([command, *argv, "--out", str(out)])
+            printed = capsys.readouterr().out
+            assert rc == 0, printed
+            assert printed == (out / "report.json").read_text(encoding="utf-8")
+            rep = json.loads(printed)
             del rep["timing"]
             reports.append(rep)
         assert reports[0] == reports[1]
@@ -462,19 +479,38 @@ class TestErrors:
         assert err["error"]["type"] == "ModelError"
         assert "'alpah'" in err["error"]["message"]
 
-    @pytest.mark.parametrize("key, value", [
-        ("max_sweeps", 0), ("eps_target", -1.0), ("perturb_alpha", float("nan")),
+    @pytest.mark.parametrize("command, patch, error, named", [
+        pytest.param("solve-sat", {"heuristic": {"max_sweeps": 0}}, "ValueError",
+                     "max_sweeps", id="max_sweeps-0"),
+        pytest.param("solve-sat", {"heuristic": {"eps_target": -1.0}}, "ValueError",
+                     "eps_target", id="eps_target--1.0"),
+        pytest.param("solve-sat", {"heuristic": {"perturb_alpha": float("nan")}}, "ValueError",
+                     "perturb_alpha", id="perturb_alpha-nan"),
+        pytest.param("solve", {"solver": {"residual_tol": "1e-6"}}, "ValueError",
+                     "residual_tol", id="residual_tol-str"),
+        pytest.param("solve", {"solver": {"max_iters": 2.5}}, "ValueError",
+                     "max_iters", id="max_iters-2.5"),
+        pytest.param("mechanism", {"mechanism": {"gamma": "0.5"}}, "MechanismError",
+                     "gamma", id="gamma-str"),
+        pytest.param("mechanism", {"mechanism": {"chain_steps": 10.5}}, "MechanismError",
+                     "chain_steps", id="chain_steps-10.5"),
+        pytest.param("solve", {"items": 5}, "CliError", "items", id="items-5"),
+        pytest.param("solve", {"items": [1]}, "CliError", "item entry", id="item-entry-1"),
+        pytest.param("solve", {"utility_model": {"family": 3}}, "CliError", "family",
+                     id="family-3"),
     ])
     def test_out_of_range_heuristic_value_is_an_error_report(self, capsys, tmp_path,
-                                                             key, value):
+                                                             command, patch, error, named):
+        # Also the other config blocks and keys: a value of the wrong type or
+        # range is an error report, never a traceback.
         votes, config = gen_k_approval(capsys, tmp_path)
         raw = json.loads(Path(config).read_text(encoding="utf-8"))
-        Path(config).write_text(json.dumps({**raw, "heuristic": {key: value}}))
-        rc, err = run(capsys, "solve-sat", "--votes", votes, "--config", config,
-                      "--out", str(tmp_path / "sat"))
+        Path(config).write_text(json.dumps({**raw, **patch}))
+        rc, err = run(capsys, command, "--votes", votes, "--config", config,
+                      "--out", str(tmp_path / "out"))
         assert rc == 1
-        assert err["error"]["type"] == "ValueError"
-        assert key in err["error"]["message"]
+        assert err["error"]["type"] == error
+        assert named in err["error"]["message"]
 
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",

@@ -1,5 +1,6 @@
 """Every name a budgetcore module imports is used there or listed in its
 ``__all__``, no base-class method is shadowed in every concrete subclass,
+every defaulted parameter of a private function is passed somewhere,
 importing the CLI leaves scipy unloaded, and ``analyze`` loads no
 ``scipy.stats``."""
 
@@ -70,6 +71,45 @@ def unreachable_base_methods() -> list:
 
 def test_no_unreachable_base_methods():
     assert unreachable_base_methods() == []
+
+
+def unpassed_private_defaults() -> list:
+    """Defaulted parameters of private (``_``-prefixed, not dunder) budgetcore
+    functions that no call in the package passes: knobs that nothing reads.
+    A call passes a parameter by keyword, by position, or through a
+    ``*args``/``**kwargs`` splat."""
+    functions, calls = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                functions.append((path.stem, node))
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    found = []
+    for module, fn in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        # A method called as obj._name(...) binds self/cls before the first argument.
+        bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        first_default = len(positional) - len(fn.args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first_default]
+        defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        mine = [c for c in calls
+                if getattr(c.func, "id", None) == fn.name or getattr(c.func, "attr", None) == fn.name]
+        for index, name in defaulted:
+            if not any(
+                any(kw.arg in (name, None) for kw in c.keywords)
+                or any(isinstance(a, ast.Starred) for a in c.args)
+                or (index is not None and len(c.args) + bound > index)
+                for c in mine
+            ):
+                found.append(f"{module}.{fn.name}({name})")
+    return sorted(found)
+
+
+def test_private_defaults_are_passed():
+    assert unpassed_private_defaults() == []
 
 
 def loaded_scipy_modules(code: str) -> list:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from budgetcore.lindahl import solve_potential
+from budgetcore.lindahl import recover_prices, solve_potential
 from budgetcore.model import (
     Allocation,
     AllocationKind,
@@ -315,6 +315,15 @@ class TestSaturating:
             g = utility_gradient(m, 0, x)
         assert g[0] == pytest.approx(2.0)  # left derivative 1/s_0
 
+    def test_marginal_spend_is_zero_past_cap(self):
+        # x f'(x) vanishes past the cap, so marginal spends match the gradients
+        # and each voter's bundle costs B/n at the supporting prices.
+        u = np.array([[1.0, 0.5], [0.2, 1.0], [1.0, 1.0]])
+        inst = Instance(utilities=u, budget=3.0, sizes=np.ones(2))
+        m, x = Saturating(u, inst.sizes), np.array([2.0, 1.0])
+        assert m.marginal_spend_all(x) == pytest.approx((m.gradients_all(x) * x).sum(1))
+        assert recover_prices(inst, m, x) @ x == pytest.approx(np.full(3, 1.0))
+
     def test_no_transform(self):
         inst = Instance(utilities=self.model().u, budget=1.0, sizes=self.sizes)
         with pytest.raises(ModelError, match="non-satiating"):
@@ -387,8 +396,10 @@ class TestMakeModel:
         assert isinstance(make_model(inst, "linear"), Linear)
         assert isinstance(make_model(inst, "power-sum", alpha=np.full(4, 0.5)), PowerSum)
         assert isinstance(make_model(inst, "saturating"), Saturating)
-        got = make_model(inst, "smoothed_saturating", eps_smooth=0.3)
+        got = make_model(inst, "smoothed", eps_smooth=0.3)
         assert isinstance(got, SmoothedSaturating)
+        with pytest.raises(ModelError, match="unknown utility family"):
+            make_model(inst, "smoothed_saturating", eps_smooth=0.3)  # no alias
 
     def test_cobb_douglas_dispatch(self):
         e = np.full((3, 4), 0.25)
