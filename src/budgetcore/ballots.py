@@ -5,11 +5,17 @@ item names; each body row is a voter id plus one nonnegative utility cell per
 item (0/1 for plain approval).  Parsing is strict: wrong-arity rows,
 non-numeric cells, and voters who approve nothing are rejected with the line
 (and column) named, because silently dropping ballots would change every
-downstream quantity.  A file with no ``"`` and no \x1c-\x1f character is read
-by numpy's C reader, which rounds numbers as ``float()`` does; every other
-file, or one that reader rejects or that fails the value checks, takes the
-csv path: :mod:`csv` rows, one ``float()`` pass, whole-matrix checks.  Both
-give the same result and error message; the first faulty line is reported.
+downstream quantity.  The body below the header takes the first of three
+paths that accepts it.  The byte path reads a body with no ``"`` and no
+\x1c-\x1f character whose every line is an id, then one comma and one ASCII
+digit per item, then ``\n`` or ``\r\n`` (what :func:`write_votes` writes for
+approval ballots): the digits are read straight from the encoded bytes, and
+any other ``\r`` sends the file on.  Next, numpy's C reader, which rounds
+numbers as ``float()`` does, reads any other body without those characters.
+Every other file, or one both reject or that fails the value checks, takes the
+csv path: :mod:`csv` rows, one ``float()`` pass, whole-matrix checks.  All
+three give the same result and error message; the first faulty line is
+reported.
 
 Generators produce small named families used throughout the tests and docs:
 majority/minority splits, shared-item variants, free-rider setups, and random
@@ -75,6 +81,47 @@ def _raise_first_fault(rows: list, item_names: list) -> None:
             )
 
 
+def _read_digits(body: str, k: int) -> Optional[tuple[np.ndarray, list]]:
+    """The byte path: (matrix, voter ids) if every body line is an id, then k
+    cells of one ASCII digit each after a comma, then ``\\n`` or ``\\r\\n``;
+    None for any other layout, or values that fail :func:`_valid`."""
+    # The first line's layout turns most other files away before any scan.
+    end = body.find("\n")
+    first = (body[:end] if end >= 0 else body).removesuffix("\r")
+    cells = first[-2 * k:]
+    if not (first.count(",") == k and cells[::2] == "," * k
+            and cells[1::2].isdigit() and cells.isascii()):
+        return None
+    raw = body.encode("utf-8", "surrogatepass")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    crlf = buf[ends - 1] == 13
+    if np.count_nonzero(buf == 13) != np.count_nonzero(crlf):  # a \r not before \n
+        return None
+    commas = np.flatnonzero(buf == 44)
+    if commas.size != ends.size * k:
+        return None
+    grid = commas.reshape(-1, k)
+    eol = ends - crlf
+    digits = buf[commas + 1] - np.uint8(48)  # bytes below '0' wrap past 9
+    # Row i's k commas span the 2k - 1 bytes before line i's end, and each is
+    # followed by a digit, not a comma: so they sit two bytes apart, on line i
+    # after the id, and a digit ends the line.
+    if not ((grid[:, 0] == eol - 2 * k).all() and (grid[:, -1] == eol - 2).all()
+            and (digits <= 9).all()):
+        return None
+    spans = zip([0, *(ends[:-1] + 1).tolist()], grid[:, 0].tolist())
+    del commas, grid  # 8 bytes a cell: free them before the matrix is built
+    matrix = digits.reshape(-1, k).astype(float)
+    if not _valid(matrix):
+        return None
+    if body.isascii():  # byte offsets are character offsets
+        return matrix, [body[a:b].strip() for a, b in spans]
+    return matrix, [raw[a:b].decode("utf-8", "surrogatepass").strip() for a, b in spans]
+
+
 def parse_votes(source) -> tuple[np.ndarray, list, list]:
     """Read a votes CSV; returns (matrix, item_names, voter_ids).
 
@@ -101,10 +148,13 @@ def parse_votes(source) -> tuple[np.ndarray, list, list]:
         raise BallotError("line 1: duplicate item names in header")
 
     k, body = len(item_names), lines.tell()
-    # numpy's C reader, unless the body is blank (loadtxt would warn; the csv
-    # path reports it) or holds a character in _CSV_ONLY.
+    # The byte path, then numpy's C reader, unless the body is blank (loadtxt
+    # would warn; the csv path reports it) or holds a character in _CSV_ONLY.
     body_text = text[body:]
     if body_text.strip() and not any(c in body_text for c in _CSV_ONLY):
+        digits = _read_digits(body_text, k)
+        if digits is not None:
+            return digits[0], item_names, digits[1]
         try:
             table = np.loadtxt(lines, delimiter=",", comments=None,
                                dtype=[("id", object), ("u", float, (k,))], ndmin=1)

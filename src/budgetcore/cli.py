@@ -25,6 +25,7 @@ IO round-trips cannot drift budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -128,12 +129,17 @@ class ElectionConfig:
                 name = entry.get("name")
                 if not name:
                     raise CliError(f"config {source}: item entry missing 'name'")
+                if not isinstance(name, str):
+                    raise CliError(f"config {source}: item name {name!r} must be a string")
                 if name in sizes:
                     raise CliError(f"config {source}: duplicate item {name!r}")
                 sizes[name] = (
                     _to_cents(entry["size"], f"size of {name!r}") if "size" in entry else None
                 )
-        model = dict(raw.get("utility_model", {"family": "linear"}))
+        model = raw.get("utility_model", {"family": "linear"})
+        if not isinstance(model, dict):
+            raise CliError(f"config {source}: 'utility_model' must be a JSON object")
+        model = dict(model)
         family = model.pop("family", "linear")
         if not isinstance(family, str):
             raise CliError(f"config {source}: utility_model 'family' must be a string")
@@ -148,12 +154,15 @@ class ElectionConfig:
                 hint = "; set the top-level 'seed' instead" if key == "seed" else ""
                 raise CliError(f"config {source}: unknown key {key!r} in '{name}'{hint}")
             blocks[name] = dict(block)
+        seed = raw.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise CliError(f"config {source}: 'seed' must be an integer, got {seed!r}")
         return ElectionConfig(
             budget_cents=budget_cents,
             item_sizes_cents=sizes,
             model_family=family,
             model_params=model,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             **blocks,
         )
 
@@ -446,6 +455,7 @@ def run_command(command: str, args, cfg: ElectionConfig, out_dir: Path) -> str:
     return text
 
 
+@functools.cache  # one parser per process; main reads $BUDGETCORE_OUT per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="budgetcore",
@@ -459,11 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if votes:
             p.add_argument("--votes", help="votes CSV (header: voter_id,<items...>)")
         p.add_argument("--config", help="election config JSON")
-        p.add_argument(
-            "--out",
-            default=os.environ.get("BUDGETCORE_OUT", "."),
-            help="output directory (default: $BUDGETCORE_OUT or current dir)",
-        )
+        p.add_argument("--out", help="output directory (default: $BUDGETCORE_OUT or current dir)")
         p.add_argument("--seed", type=int, help="override config seed")
 
     common(sub.add_parser("solve", help="equilibrium solver + core certificate"))
@@ -511,7 +517,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "budget", None) is not None:
             cfg = replace(cfg, budget_cents=_to_cents(args.budget, "budget"))
-        text = run_command(args.command, args, cfg, Path(args.out))
+        out = os.environ.get("BUDGETCORE_OUT", ".") if args.out is None else args.out
+        text = run_command(args.command, args, cfg, Path(out))
     except (ValueError, OSError) as e:
         # Covers CliError, BallotError, model/solver validation errors, and IO.
         error = {"error": {"type": type(e).__name__, "message": str(e)}}

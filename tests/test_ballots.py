@@ -146,6 +146,7 @@ FAULTY_CELLS = ["x", "", "inf", "-inf", "nan", "-1", "1..2", "1e400", "1\x1c"]
 # Unicode digits.  Files holding them, or quotes, must reach the csv path.
 CSV_ONLY_CELLS = ["1_0", "\u0661", "\u0662.5"]
 QUOTED = ['"a,b"', '"say ""hi"""']
+DIGIT_CELLS = list("123456789")
 
 
 def random_votes_text(rng):
@@ -153,13 +154,18 @@ def random_votes_text(rng):
     endings, sometimes no final newline, and in about half the files one to
     three injected faults.  About a third of the files also hold quoted ids
     and item names (with a comma or a doubled quote inside) and spellings
-    only ``float()`` reads; the rest are plain enough for numpy's reader."""
+    only ``float()`` reads; of the rest, half hold only one-digit cells, for
+    the byte path, and the others suit numpy's reader."""
     k = int(rng.integers(1, 6))
     exotic = rng.random() < 0.35
-    positive = POSITIVE_CELLS + CSV_ONLY_CELLS if exotic else POSITIVE_CELLS
+    positive, zero = POSITIVE_CELLS, ZERO_CELLS
+    if exotic:
+        positive = POSITIVE_CELLS + CSV_ONLY_CELLS
+    elif rng.random() < 0.5:
+        positive, zero = DIGIT_CELLS, ["0"]
     rows = []
     for _ in range(int(rng.integers(0, 30))):
-        pool = [ZERO_CELLS if rng.random() < 0.3 else positive for _ in range(k)]
+        pool = [zero if rng.random() < 0.3 else positive for _ in range(k)]
         cells = [p[int(rng.integers(len(p)))] for p in pool]
         cells[int(rng.integers(k))] = positive[int(rng.integers(len(positive)))]
         rows.append(cells)
@@ -170,7 +176,7 @@ def random_votes_text(rng):
             if fault == 0:
                 rows[i][int(rng.integers(k))] = FAULTY_CELLS[int(rng.integers(len(FAULTY_CELLS)))]
             elif fault == 1:
-                rows[i] = [ZERO_CELLS[int(rng.integers(len(ZERO_CELLS)))] for _ in range(k)]
+                rows[i] = [zero[int(rng.integers(len(zero)))] for _ in range(k)]
             elif fault == 2:
                 rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + ["1"]
             else:
@@ -188,7 +194,18 @@ def random_votes_text(rng):
     return eol.join(lines) + (eol if rng.random() < 0.8 else "")
 
 
-# Hand-made files at the seams between numpy's reader and the csv path.
+# One-digit files in layouts the byte path reads.
+BYTE_LAYOUTS = [
+    "voter_id,a,b\nv0,1,0\nv1,0,1\n",  # \n endings only
+    "voter_id,a,b\r\nv0,1,0\r\nv1,0,1",  # no final newline
+    "voter_id,a,b\r\nv0,1,0\nv1,0,1\r\nv2,9,1\n",  # \r\n and \n mixed
+    "voter_id,a,b\r\n v\u00e9 ,1,0\r\n\u4e2d\U0001f5f3,0,1\r\n",  # multi-byte UTF-8 ids
+    "voter_id,a,b\r\n,1,0\r\n \t,0,1\r\n",  # empty ids
+    "voter_id,a,b\nv\ud800,1,0\n\u00e9\udfff,0,1\n",  # lone surrogates (a caller's text)
+]
+
+# Hand-made files at the seams between the byte path, numpy's reader and the
+# csv path.
 EDGE_FILES = [
     "voter_id,a\rv0,1\rv1,2",  # bare CR, no final newline
     "voter_id,a,b\nv0,1,\r1\n",  # a CR splits a row
@@ -218,7 +235,18 @@ EDGE_FILES = [
     "voter_id,a,b\nv0,-0,1\nv1,.5,5.\nv2,1E5,+0\n",
     "voter_id,a\nv0,0x1\n",
     "voter_id,a\nv0,1\nv1\n",  # a short last row
+    "voter_id,a\r\nv\r0,1\r\nv1,1\r\n",  # a lone CR in an id splits its row
+    "voter_id,a,b\nv0,10,0\nv1,1,1\n",  # a two-digit cell
+    "voter_id,a,b\nv0,1,0\nv1,10,1\n",  # ... below a one-digit first line
+    "voter_id,a,b\nv0,1,0\nv,111\nv2,1,0,1\n",  # k commas over two lines
+    "voter_id,a,b\nv0,1,0\nv1,x,1\nv2,1,/\n",  # one-byte cells that are not digits
+    "voter_id,a,b\nv0, 1,0\nv1,1 ,1\n",  # a space around a digit
+    *BYTE_LAYOUTS,
 ]
+
+
+def fallback_ran(*args, **kwargs):
+    raise AssertionError("a fallback reader ran")
 
 
 def parse_outcome(parser, text):
@@ -233,23 +261,32 @@ class TestOnePassParse:
     def test_matches_row_by_row_reference(self, monkeypatch):
         kinds = ["not a number", "finite and nonnegative", "approves nothing",
                  "value cells", "no voter rows"]
-        csv_path_runs = []
-        fromiter = np.fromiter
-        monkeypatch.setattr(ballots.np, "fromiter",
-                            lambda *a, **kw: csv_path_runs.append(1) or fromiter(*a, **kw))
+        readers = []  # the fallback readers that ran, in order
+
+        def spy(name):
+            reader = getattr(np, name)
+
+            def run(*args, **kwargs):
+                readers.append(name)
+                return reader(*args, **kwargs)
+            return run
+
+        for name in ("loadtxt", "fromiter"):
+            monkeypatch.setattr(ballots.np, name, spy(name))
+        path = {(): "ok via bytes", ("loadtxt",): "ok via numpy"}
         rng = np.random.default_rng(20240607)
         seen = set()
         for _ in range(400):
             text = random_votes_text(rng)
-            csv_path_runs.clear()
+            readers.clear()
             got, want = parse_outcome(parse_votes, text), parse_outcome(reference_parse, text)
             assert got == want, text
             if want[0] == "ok":
-                seen.add("ok via csv" if csv_path_runs else "ok via numpy")
+                seen.add(path.get(tuple(readers), "ok via csv"))
             else:
                 seen |= {m for m in kinds if m in want[1]}
-        # clean files on both paths, and every row fault, occurred
-        assert seen == {"ok via numpy", "ok via csv", *kinds}
+        # clean files on all three paths, and every row fault, occurred
+        assert seen == {"ok via bytes", "ok via numpy", "ok via csv", *kinds}
 
     @pytest.mark.parametrize("text", EDGE_FILES)
     def test_edge_file_matches_reference(self, text):
@@ -260,9 +297,6 @@ class TestOnePassParse:
         M = inst.utilities * np.linspace(0.1, 3.7, 12)
         plain = [f"item{j}" for j in range(12)]
 
-        def csv_path(*args, **kwargs):
-            raise AssertionError("the csv path ran")
-
         # csv.writer quotes a name holding a comma; only the body decides.
         for names in (plain, ["Parks, phase 2"] + plain[1:]):
             path = tmp_path / "votes.csv"
@@ -270,11 +304,33 @@ class TestOnePassParse:
             with open(path, encoding="utf-8", newline="") as fh:
                 want = reference_parse(fh)
             with monkeypatch.context() as patch:
-                patch.setattr(ballots.np, "fromiter", csv_path)
+                patch.setattr(ballots.np, "fromiter", fallback_ran)
                 got = parse_votes(path)
             assert got[0].flags.c_contiguous
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("text", BYTE_LAYOUTS)
+    def test_one_digit_layout_takes_byte_path(self, text, monkeypatch):
+        for name in ("loadtxt", "fromiter"):
+            monkeypatch.setattr(ballots.np, name, fallback_ran)
+        assert parse_outcome(parse_votes, text) == parse_outcome(reference_parse, text)
+
+    def test_generated_file_takes_byte_path(self, tmp_path, monkeypatch):
+        # write_votes ends lines with csv.writer's \r\n and spells 0/1 as one
+        # digit, so a generated approval file never needs a fallback reader.
+        inst = gen_synthetic("k-approval", 2000, 12, seed=3)
+        path = tmp_path / "votes.csv"
+        write_votes(path, inst.utilities, ["Parks, phase 2"] + [f"item{j}" for j in range(1, 12)])
+        assert b"\r\n" in path.read_bytes()
+        with open(path, encoding="utf-8", newline="") as fh:
+            want = reference_parse(fh)
+        for name in ("loadtxt", "fromiter"):
+            monkeypatch.setattr(ballots.np, name, fallback_ran)
+        got = parse_votes(path)
+        assert got[0].flags.c_contiguous
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
 
     def test_first_faulty_line_wins(self):
         cases = [
@@ -289,6 +345,9 @@ class TestOnePassParse:
              "line 2: utilities must be finite and nonnegative"),
             # within one row a non-number beats a negative cell
             ("voter_id,a,b\nv0,-1,z\n", "line 2, column 'b': not a number: 'z'"),
+            # a one-digit file falls back from the byte path to name its line
+            ("voter_id,a,b\r\nv0,1,0\r\nv1,0,0\r\nv2,1,1\r\n",
+             "line 3: voter 'v1' approves nothing (all-zero row)"),
         ]
         for text, message in cases:
             with pytest.raises(BallotError) as err:

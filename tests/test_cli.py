@@ -498,6 +498,14 @@ class TestErrors:
         pytest.param("solve", {"items": [1]}, "CliError", "item entry", id="item-entry-1"),
         pytest.param("solve", {"utility_model": {"family": 3}}, "CliError", "family",
                      id="family-3"),
+        pytest.param("solve", {"utility_model": 3}, "CliError", "utility_model",
+                     id="utility_model-3"),
+        pytest.param("solve", {"seed": None}, "CliError", "seed", id="seed-null"),
+        pytest.param("solve", {"seed": [1]}, "CliError", "seed", id="seed-list"),
+        pytest.param("solve", {"seed": 1.5}, "CliError", "seed", id="seed-1.5"),
+        pytest.param("solve", {"seed": True}, "CliError", "seed", id="seed-true"),
+        pytest.param("solve", {"items": [{"name": ["a"]}]}, "CliError", "item name",
+                     id="item-name-list"),
     ])
     def test_out_of_range_heuristic_value_is_an_error_report(self, capsys, tmp_path,
                                                              command, patch, error, named):
@@ -617,6 +625,14 @@ class TestVersion:
         rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5")
         assert rc == 0
         assert (tmp_path / "envout" / "votes.csv").exists()
+
+    def test_out_env_read_per_call(self, capsys, tmp_path, monkeypatch):
+        # The parser is built once per process; the default is read per call.
+        for sub in ("first", "second"):
+            monkeypatch.setenv("BUDGETCORE_OUT", str(tmp_path / sub))
+            rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5")
+            assert rc == 0
+            assert json.loads((tmp_path / sub / "report.json").read_text()) == rep
 
 
 class TestReadme:
