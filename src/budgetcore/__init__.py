@@ -20,7 +20,6 @@ from .model import (
     SmoothedSaturating,
     UtilityModel,
     make_model,
-    utility_gradient,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "SmoothedSaturating",
     "UtilityModel",
     "make_model",
-    "utility_gradient",
 ]

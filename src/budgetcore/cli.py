@@ -75,9 +75,12 @@ _CONFIG_BLOCKS = {
 
 def _to_cents(value, what: str) -> int:
     try:
-        cents = round(float(value) * 100)
-    except (TypeError, ValueError):
-        raise CliError(f"{what} must be a number, got {value!r}") from None
+        scaled = float(value) * 100
+    except (TypeError, ValueError, OverflowError):
+        scaled = np.nan
+    if not np.isfinite(scaled):
+        raise CliError(f"{what} must be a finite number, got {value!r}")
+    cents = round(scaled)
     if cents <= 0:
         raise CliError(f"{what} must be positive, got {value!r}")
     return int(cents)

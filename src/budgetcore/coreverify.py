@@ -182,6 +182,11 @@ def find_deviation_continuous(
     """
     if mode not in ("additive", "multiplicative"):
         raise ValueError(f"unknown mode {mode!r}")
+    if grid_steps < 1:
+        raise ValueError(f"grid_steps must be at least 1, got {grid_steps!r}")
+    # NaN or +inf would read as "no deviation"; -inf asks for the best deviation at any gain.
+    if not (threshold < np.inf and np.isfinite(budget_slack)):
+        raise ValueError(f"threshold {threshold!r} or budget_slack {budget_slack!r} out of range")
     n, k, B = inst.n, inst.k, inst.budget
     if k > _MAX_K_CONTINUOUS or n > _MAX_N_CONTINUOUS:
         raise InstanceTooLarge(

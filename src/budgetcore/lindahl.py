@@ -20,11 +20,8 @@ whose stationary points satisfy the condition above; z_j = x_j f_j'(x_j) and
 R_j are the model's own maps (see ``budgetcore.model``).  For linear
 utilities z = x and Phi is the proportional-fairness objective.  Smoothed
 saturating models are solved the same way; their approximation factor is
-``budgetcore.saturating.smoothing_alpha``.
-``sgd_elicitation`` is the query-limited variant: each round asks one sampled
-voter only for the *direction* of their utility gradient (the unit-ball best
-response) and takes an unbiased stochastic ascent step.  ``recover_prices``
-turns a solution into the matrix of supporting per-voter prices.
+``budgetcore.saturating.smoothing_alpha``.  ``recover_prices`` turns a
+solution into the matrix of supporting per-voter prices.
 
 The randomized mechanism's fairness point over its floored simplex is also
 found by ``solve_potential``: shifting every linear utility by floor/slack
@@ -38,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +55,6 @@ __all__ = [
     "lindahl_residuals",
     "condition_violation",
     "solve_potential",
-    "sgd_elicitation",
     "recover_prices",
 ]
 
@@ -259,66 +255,3 @@ def solve_potential(
     return LindahlResult(x=Allocation(xv), residuals=lindahl_residuals(inst, model, xv),
                          iterations=it, converged=viol <= cfg.residual_tol, objective_trace=trace)
 
-
-def _project_budget_box(v: np.ndarray, floor: float, cap: float) -> np.ndarray:
-    """Euclidean projection onto { x >= floor, sum(x) <= cap }."""
-    w = np.maximum(v - floor, 0.0)
-    c = cap - floor * v.size
-    if w.sum() > c:
-        u = np.sort(w)[::-1]
-        css = np.cumsum(u) - c
-        idx = np.arange(1, w.size + 1)
-        rho = np.flatnonzero(u - css / idx > 0)[-1]
-        w = np.maximum(w - css[rho] / (rho + 1), 0.0)
-    return w + floor
-
-
-def sgd_elicitation(
-    inst: Instance,
-    model: UtilityModel,
-    rounds: int,
-    step_schedule: Union[float, Callable[[int], float]] = 1.0,
-    seed: int = 0,
-    cfg: Optional[SolverConfig] = None,
-) -> LindahlResult:
-    """Query-limited stochastic ascent on F(x) = (1/n) sum log U_i - |x|_1 / B.
-
-    Each round samples one voter uniformly, asks only for their normalized
-    utility-gradient direction (the unit-ball best response), and forms the
-    gradient estimate d/(x . d) - 1/B (the normalization cancels, which is why
-    the direction is a sufficient answer).  Iterates are projected onto
-    { x >= floor, sum(x) <= B }, and the denominator is clamped below by
-    B/(100 k) so a voter whose current value is near zero cannot blow the step
-    up; the estimate is unbiased wherever the clamp is inactive.  A float
-    ``step_schedule`` c means steps c/sqrt(t).
-    """
-    cfg = cfg or SolverConfig()
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
-    n, k, B = inst.n, inst.k, inst.budget
-    floor = _SPEND_FLOOR * B
-    clamp = B / (100.0 * k)
-    if callable(step_schedule):
-        step_of = step_schedule
-    else:
-        c = float(step_schedule)
-        step_of = lambda t: c / np.sqrt(t)
-    rng = np.random.default_rng(seed)
-    x = np.full(k, B / k)
-    trace = []
-    checkpoint = max(1, rounds // 250)
-    for t in range(1, rounds + 1):
-        i = int(rng.integers(n))
-        d = model.gradient(i, x)
-        norm = float(np.linalg.norm(d))
-        if norm <= 0:
-            raise DegenerateAgentError(i)
-        d = d / norm
-        g = d / max(float(x @ d), clamp) - 1.0 / B
-        x = _project_budget_box(x + step_of(t) * g, floor, B)
-        if t % checkpoint == 0 or t == rounds:
-            res = lindahl_residuals(inst, model, x)
-            trace.append((t, condition_violation(res, x, B)))
-    # The last round is always a checkpoint, so ``res`` belongs to the final x.
-    return LindahlResult(x=Allocation(x), residuals=res, iterations=rounds,
-                         converged=trace[-1][1] <= cfg.residual_tol, objective_trace=trace)

@@ -18,7 +18,6 @@ for the Cobb-Douglas family which is the product form ``prod_j x_j^{a_ij}``
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -37,13 +36,12 @@ __all__ = [
     "Saturating",
     "SmoothedSaturating",
     "make_model",
-    "utility_gradient",
     "allocation_vector",
 ]
 
-# Relative half-width of the band around x_j = s_j treated as the kink of the
-# saturating family (exact float equality is too brittle for callers that
-# compute x_j = s_j arithmetically).
+# Relative half-width of the band around x_j = s_j that the saturating family
+# treats as its kink and differentiates from the left (exact float equality is
+# too brittle for callers that compute x_j = s_j arithmetically).
 _KINK_RTOL = 1e-9
 
 # Stand-in for log(0) that still vanishes under an exactly-zero exponent.
@@ -97,25 +95,6 @@ class Allocation:
 
     def funded_set(self) -> frozenset:
         return frozenset(int(j) for j in self.funded())
-
-    def validate_budget(self, budget: float, tol: float = 1e-9) -> None:
-        if self.total() > budget * (1.0 + tol):
-            raise ValueError(
-                f"allocation spends {self.total():.12g} > budget {budget:.12g} "
-                f"(tolerance {tol:g})"
-            )
-
-    def validate_integral(self, sizes: np.ndarray, tol: float = 1e-9) -> None:
-        s = np.asarray(sizes, dtype=float)
-        near_zero = self.x <= tol * np.maximum(s, 1.0)
-        near_full = np.abs(self.x - s) <= tol * np.maximum(s, 1.0)
-        bad = ~(near_zero | near_full)
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"integral allocation must fund items fully or not at all; "
-                f"item {j} spends {self.x[j]:.12g} of size {s[j]:.12g}"
-            )
 
 
 def allocation_vector(x: Union[Allocation, np.ndarray, list]) -> np.ndarray:
@@ -205,10 +184,6 @@ class UtilityModel(abc.ABC):
         self.u = _readonly(u)
 
     @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    @property
     def k(self) -> int:
         return self.u.shape[1]
 
@@ -224,28 +199,9 @@ class UtilityModel(abc.ABC):
     def utilities_batch(self, X: np.ndarray) -> np.ndarray:
         """U_i(row) for a batch of allocations, shape (m, k) -> (m, n)."""
 
-    def utility(self, agent: int, x: np.ndarray) -> float:
-        self._check(agent, x)
-        return float(self.utilities_all(allocation_vector(x))[agent])
-
-    def gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
-        self._check(agent, x)
-        return self.gradients_all(allocation_vector(x))[agent].copy()
-
     @abc.abstractmethod
     def marginal_spend_all(self, x: np.ndarray) -> np.ndarray:
         """sum_j x_j dU_i/dx_j per voter, shape (n,)."""
-
-    def kink_mask(self, x: np.ndarray) -> np.ndarray:
-        """Items where the gradient is a one-sided derivative (saturating kink)."""
-        return np.zeros(self.k, dtype=bool)
-
-    def _check(self, agent: int, x) -> None:
-        if not 0 <= agent < self.n:
-            raise ValueError(f"agent index {agent} out of range [0, {self.n})")
-        xv = allocation_vector(x)
-        if xv.size != self.k:
-            raise ValueError(f"allocation has {xv.size} items, expected {self.k}")
 
 
 def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -277,10 +233,6 @@ class _ScalarSeparable(UtilityModel):
 
     def gradients_all(self, x: np.ndarray) -> np.ndarray:
         return _weighted_slopes(self.u, self.fprime(allocation_vector(x)))
-
-    def gradient(self, agent: int, x) -> np.ndarray:
-        self._check(agent, x)
-        return _weighted_slopes(self.u[agent], self.fprime(allocation_vector(x)))
 
     def marginal_spend_all(self, x: np.ndarray) -> np.ndarray:
         return self.u @ self.zvec(allocation_vector(x))
@@ -403,8 +355,7 @@ class CobbDouglas(UtilityModel):
 class Saturating(_ScalarSeparable):
     """f_j(x) = min(x/s_j, 1): value accrues linearly until the item is fully funded.
 
-    The kink at x_j = s_j is reported with the left derivative 1/s_j and flagged
-    through :meth:`kink_mask`.
+    At the kink x_j = s_j the gradient is the left derivative 1/s_j.
     """
 
     def __init__(self, utilities: np.ndarray, sizes: np.ndarray):
@@ -422,10 +373,6 @@ class Saturating(_ScalarSeparable):
         # x f'(x): the full x/s_j up to the cap, 0 past fprime's kink band.
         rel = np.asarray(x, dtype=float) / self.sizes
         return np.where(rel <= 1.0 + _KINK_RTOL, np.minimum(rel, 1.0), 0.0)
-
-    def kink_mask(self, x) -> np.ndarray:
-        rel = allocation_vector(x) / self.sizes
-        return np.abs(rel - 1.0) <= _KINK_RTOL
 
 
 class SmoothedSaturating(_ScalarSeparable):
@@ -503,17 +450,3 @@ def make_model(inst: Instance, family: str, **params) -> UtilityModel:
         return Saturating(inst.utilities, inst.require_sizes())
     return SmoothedSaturating(inst.utilities, inst.require_sizes(), value)
 
-
-def utility_gradient(model: UtilityModel, agent: int, x) -> np.ndarray:
-    """dU_agent/dx. At a saturating kink the left derivative is returned and a
-    warning is emitted; the flagged items are available via ``model.kink_mask``."""
-    g = model.gradient(agent, x)
-    kinks = model.kink_mask(allocation_vector(x))
-    if np.any(kinks):
-        warnings.warn(
-            f"gradient evaluated at saturation kink for items {np.flatnonzero(kinks).tolist()}; "
-            "returning left derivative",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return g

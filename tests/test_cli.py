@@ -327,6 +327,33 @@ class TestCheckCore:
         assert err["error"]["type"] == "CliError"
         assert "allocation entries must be" in err["error"]["message"]
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_nonpositive_grid_is_an_error_report(self, capsys, tmp_path, grid):
+        votes = self.setup_majority(capsys, tmp_path)
+        alloc = self.write_alloc(tmp_path, [0.8, 0.2])
+        rc, err = run(capsys, "check-core", "--votes", votes, "--allocation", alloc,
+                      "--grid", grid, "--out", str(tmp_path / "chk"))
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert "grid_steps must be at least 1" in err["error"]["message"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_is_an_error_report(self, capsys, tmp_path, threshold):
+        # Every comparison with these thresholds fails, which would report no deviation.
+        rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "10",
+                      "--out", str(tmp_path / "gen"))
+        assert rc == 0
+        argv = ["check-core", "--votes", rep["artifacts"]["votes_csv"],
+                "--allocation", self.write_alloc(tmp_path, [0.99, 0.01]),
+                "--out", str(tmp_path / "chk")]
+        rc, rep = run(capsys, *argv)
+        assert rc == 0
+        assert rep["result"]["deviation"]["coalition"] == [6, 7, 8, 9]
+        rc, err = run(capsys, *argv, "--threshold", threshold)
+        assert rc == 1
+        assert err["error"]["type"] == "ValueError"
+        assert f"threshold {threshold}" in err["error"]["message"]
+
     def test_requires_allocation_flag(self, capsys, tmp_path):
         votes = self.setup_majority(capsys, tmp_path)
         rc, err = run(capsys, "check-core", "--votes", votes,
@@ -531,6 +558,24 @@ class TestErrors:
                       "--budget", "0", "--out", str(tmp_path))
         assert rc == 1
         assert "budget must be positive" in err["error"]["message"]
+
+    @pytest.mark.parametrize("config, what", [
+        (None, "budget"),
+        ('{"budget": 1e400}', "budget"),
+        ('{"budget": 1%s}' % ("0" * 400), "budget"),
+        ('{"budget": 10, "items": [{"name": "item_0", "size": 1e400}]}', "size of 'item_0'"),
+    ], ids=["budget-flag", "budget", "budget-int", "size"])
+    def test_infinite_money_is_an_error_report(self, capsys, tmp_path, config, what):
+        argv = ["gen", "--profile", "figure1a", "--n", "5", "--out", str(tmp_path)]
+        if config is None:
+            argv += ["--budget", "inf"]
+        else:
+            (tmp_path / "config.json").write_text(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        rc, err = run(capsys, *argv)
+        assert rc == 1
+        assert err["error"]["type"] == "CliError"
+        assert f"{what} must be a finite number" in err["error"]["message"]
 
     def test_unknown_profile_surfaces_ballot_error(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "wat", "--n", "5",

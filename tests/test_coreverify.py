@@ -202,6 +202,20 @@ class TestContinuousOracle:
         with pytest.raises(ValueError, match="mode"):
             find_deviation_continuous(inst, model, np.array([0.5, 0.5]), mode="ratio")
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(grid_steps=0), "grid_steps"),
+        (dict(grid_steps=-1), "grid_steps"),
+        (dict(threshold=np.nan), "threshold nan"),
+        (dict(threshold=np.inf), "threshold inf"),
+        (dict(budget_slack=np.nan), "budget_slack nan"),
+        (dict(budget_slack=-np.inf), "budget_slack -inf"),
+    ])
+    def test_invalid_search_parameters_rejected(self, kw, match):
+        # None of these may come back as "no deviation".
+        inst = minority_instance(n=5)
+        with pytest.raises(ValueError, match=match):
+            find_deviation_continuous(inst, Linear(inst.utilities), np.array([0.0, 1.0]), **kw)
+
     def test_spending_nothing_is_blocked_below_any_ratio(self):
         # U(x) = 0 for everyone, so any spend a voter values is an infinite
         # ratio, whatever the threshold (here -inf, where threshold * U(x)

@@ -1,5 +1,5 @@
 """Every name a budgetcore module imports is used there or listed in its
-``__all__``, no base-class method is shadowed in every concrete subclass,
+``__all__``, every ``__all__`` entry names an attribute, no base-class method is shadowed in every concrete subclass,
 every defaulted parameter of a private function is passed somewhere,
 importing the CLI leaves scipy unloaded, and ``analyze`` loads no
 ``scipy.stats``."""
@@ -39,6 +39,14 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_entries_resolve(path):
+    # An entry left behind by a deletion counts as a use above, so check it here.
+    name = "budgetcore" if path.stem == "__init__" else f"budgetcore.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def unreachable_base_methods() -> list:

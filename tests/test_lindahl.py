@@ -21,11 +21,9 @@ import pytest
 from budgetcore.coreverify import certify_from_residual
 from budgetcore.lindahl import (
     DegenerateAgentError,
-    LindahlResult,
     SolverConfig,
     lindahl_residuals,
     recover_prices,
-    sgd_elicitation,
     solve_potential,
 )
 from budgetcore.model import (
@@ -100,7 +98,7 @@ class TestResiduals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lindahl_residuals(inst, model, x).tolist() == [0.0, np.inf]
-            assert model.gradient(0, x).tolist() == [0.5, 0.0]
+            assert model.gradients_all(x)[0].tolist() == [0.5, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,42 +257,3 @@ class TestPrices:
         result = solve_potential(inst, Linear(inst.utilities))
         prices = recover_prices(inst, Linear(inst.utilities), result.x)
         assert prices.sum(axis=0) == pytest.approx(np.ones(2), abs=1e-7)
-
-
-# ---------------------------------------------------------------------------
-# Query-limited stochastic route
-# ---------------------------------------------------------------------------
-
-
-class TestSgdElicitation:
-    def test_approaches_equilibrium(self):
-        inst = disjoint_instance([6, 4], budget=1.0)
-        model = Linear(inst.utilities)
-        result = sgd_elicitation(inst, model, rounds=20_000, seed=3)
-        assert np.max(np.abs(result.x.x - np.array([0.6, 0.4]))) <= 0.05
-        assert result.iterations == 20_000
-
-    def test_deterministic_given_seed(self):
-        inst = disjoint_instance([3, 5], budget=1.0)
-        model = Linear(inst.utilities)
-        a = sgd_elicitation(inst, model, rounds=500, seed=11)
-        b = sgd_elicitation(inst, model, rounds=500, seed=11)
-        assert np.array_equal(a.x.x, b.x.x)
-        c = sgd_elicitation(inst, model, rounds=500, seed=12)
-        assert not np.array_equal(a.x.x, c.x.x)
-
-    def test_callable_schedule_and_validation(self):
-        inst = disjoint_instance([2, 2])
-        model = Linear(inst.utilities)
-        result = sgd_elicitation(
-            inst, model, rounds=200, step_schedule=lambda t: 0.5 / t, seed=0
-        )
-        assert isinstance(result, LindahlResult)
-        with pytest.raises(ValueError, match="rounds"):
-            sgd_elicitation(inst, model, rounds=0)
-
-    def test_trace_checkpoints(self):
-        inst = disjoint_instance([4, 4])
-        result = sgd_elicitation(inst, Linear(inst.utilities), rounds=1000, seed=1)
-        assert result.objective_trace[-1][0] == 1000
-        assert all(v >= 0 for _, v in result.objective_trace)

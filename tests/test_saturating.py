@@ -90,7 +90,7 @@ class TestHeuristic:
             assert result.max_violation_trace[-1][1] <= 1.0 / 60
             assert not result.budget_flagged
             # Spend may miss B, but only within the condition tolerance.
-            result.x.validate_budget(inst.budget, tol=1.0 / 60)
+            assert result.x.total() <= inst.budget * (1 + 1 / 60)
 
     def test_trace_describes_returned_solution(self):
         inst = approval_instance(n=60, k=8, seed=0)
