@@ -14,8 +14,8 @@ any other ``\r`` sends the file on.  Next, numpy's C reader, which rounds
 numbers as ``float()`` does, reads any other body without those characters.
 Every other file, or one both reject or that fails the value checks, takes the
 csv path: :mod:`csv` rows, one ``float()`` pass, whole-matrix checks.  All
-three give the same result and error message; the first faulty line is
-reported.
+three give the same matrix and item names, or the same error message, which
+names the first faulty line.
 
 Generators produce small named families used throughout the tests and docs:
 majority/minority splits, shared-item variants, free-rider setups, and random
@@ -81,16 +81,15 @@ def _raise_first_fault(rows: list, item_names: list) -> None:
             )
 
 
-def _read_digits(body: str, k: int) -> Optional[tuple[np.ndarray, list]]:
-    """The byte path: (matrix, voter ids) if every body line is an id, then k
-    cells of one ASCII digit each after a comma, then ``\\n`` or ``\\r\\n``;
-    None for any other layout, or values that fail :func:`_valid`."""
+def _read_digits(body: str, k: int) -> Optional[np.ndarray]:
+    """The byte path: the matrix if every body line is an id, then k cells of
+    one ASCII digit each after a comma, then ``\\n`` or ``\\r\\n``; None for
+    any other layout, or values that fail :func:`_valid`."""
     # The first line's layout turns most other files away before any scan.
     end = body.find("\n")
     first = (body[:end] if end >= 0 else body).removesuffix("\r")
-    cells = first[-2 * k:]
-    if not (first.count(",") == k and cells[::2] == "," * k
-            and cells[1::2].isdigit() and cells.isascii()):
+    cells = first[-2 * k:].encode("utf-8", "surrogatepass")  # > 2k bytes unless ASCII
+    if not (first.count(",") == k and cells[::2] == b"," * k and cells[1::2].isdigit()):
         return None
     raw = body.encode("utf-8", "surrogatepass")
     if not raw.endswith(b"\n"):
@@ -112,18 +111,13 @@ def _read_digits(body: str, k: int) -> Optional[tuple[np.ndarray, list]]:
     if not ((grid[:, 0] == eol - 2 * k).all() and (grid[:, -1] == eol - 2).all()
             and (digits <= 9).all()):
         return None
-    spans = zip([0, *(ends[:-1] + 1).tolist()], grid[:, 0].tolist())
     del commas, grid  # 8 bytes a cell: free them before the matrix is built
     matrix = digits.reshape(-1, k).astype(float)
-    if not _valid(matrix):
-        return None
-    if body.isascii():  # byte offsets are character offsets
-        return matrix, [body[a:b].strip() for a, b in spans]
-    return matrix, [raw[a:b].decode("utf-8", "surrogatepass").strip() for a, b in spans]
+    return matrix if _valid(matrix) else None
 
 
-def parse_votes(source) -> tuple[np.ndarray, list, list]:
-    """Read a votes CSV; returns (matrix, item_names, voter_ids).
+def parse_votes(source) -> tuple[np.ndarray, list]:
+    """Read a votes CSV; returns (matrix, item_names), a row per voter in file order.
 
     ``source`` may be a path or an open text stream.
     """
@@ -152,15 +146,15 @@ def parse_votes(source) -> tuple[np.ndarray, list, list]:
     # would warn; the csv path reports it) or holds a character in _CSV_ONLY.
     body_text = text[body:]
     if body_text.strip() and not any(c in body_text for c in _CSV_ONLY):
-        digits = _read_digits(body_text, k)
-        if digits is not None:
-            return digits[0], item_names, digits[1]
-        try:
+        matrix = _read_digits(body_text, k)
+        if matrix is not None:
+            return matrix, item_names
+        try:  # the id field makes a row with too many or too few cells an error
             table = np.loadtxt(lines, delimiter=",", comments=None,
                                dtype=[("id", object), ("u", float, (k,))], ndmin=1)
             matrix = np.ascontiguousarray(table["u"])
             if _valid(matrix):
-                return matrix, item_names, list(map(str.strip, table["id"].tolist()))
+                return matrix, item_names
         except ValueError:  # a spelling the C reader rejects
             pass
         lines.seek(body)  # the csv path reads the body again and decides
@@ -180,7 +174,7 @@ def parse_votes(source) -> tuple[np.ndarray, list, list]:
         _raise_first_fault(rows, item_names)
     if not rows:
         raise BallotError("votes file has a header but no voter rows")
-    return matrix, item_names, [row[0].strip() for _, row in rows]
+    return matrix, item_names
 
 
 def write_votes(

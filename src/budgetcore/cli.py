@@ -65,6 +65,11 @@ class CliError(ValueError):
     """Bad command-line usage or configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors become error reports, in subparsers too
+        raise CliError(message)
+
+
 # Config blocks passed straight to a stage's knobs; keys must be its fields.
 _CONFIG_BLOCKS = {
     "solver": SolverConfig,
@@ -74,8 +79,8 @@ _CONFIG_BLOCKS = {
 
 
 def _to_cents(value, what: str) -> int:
-    try:
-        scaled = float(value) * 100
+    try:  # JSON's true is a number to float()
+        scaled = np.nan if isinstance(value, bool) else float(value) * 100
     except (TypeError, ValueError, OverflowError):
         scaled = np.nan
     if not np.isfinite(scaled):
@@ -204,14 +209,6 @@ def _jsonable(obj):
     return obj
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_trace(out_dir: Path, trace) -> str:
     path = out_dir / "trace.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -224,7 +221,7 @@ def _write_trace(out_dir: Path, trace) -> str:
 def _load_instance(args, cfg: ElectionConfig) -> tuple[Instance, dict]:
     if not args.votes:
         raise CliError("this command needs --votes PATH")
-    matrix, names, _ = parse_votes(args.votes)
+    matrix, names = parse_votes(args.votes)
     sizes = None
     if cfg.item_sizes_cents is not None:
         unknown = [n for n in names if n not in cfg.item_sizes_cents]
@@ -243,7 +240,7 @@ def _load_instance(args, cfg: ElectionConfig) -> tuple[Instance, dict]:
     )
     meta = {
         "votes": str(args.votes),
-        "sha256": _sha256(args.votes),
+        "sha256": hashlib.sha256(Path(args.votes).read_bytes()).hexdigest(),
         "voters": inst.n,
         "items": inst.k,
     }
@@ -422,7 +419,7 @@ def _cmd_gen(args, cfg: ElectionConfig, _, out_dir: Path, report: dict) -> dict:
         "profile": args.profile,
         "voters": inst.n,
         "items": inst.k,
-        "sha256": _sha256(votes_path),
+        "sha256": hashlib.sha256(votes_path.read_bytes()).hexdigest(),
         "sizes": inst.sizes,
     }
 
@@ -460,7 +457,7 @@ def run_command(command: str, args, cfg: ElectionConfig, out_dir: Path) -> str:
 
 @functools.cache  # one parser per process; main reads $BUDGETCORE_OUT per call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="budgetcore",
         description="Fair participatory-budgeting allocations: solvers, "
         "verification, randomized mechanism, aggregation analysis.",
@@ -509,13 +506,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = (
-            ElectionConfig.from_file(args.config)
-            if args.config
-            else ElectionConfig.from_dict({}, source="<defaults>")
-        )
+        args = _build_parser().parse_args(argv)
+        cfg = ElectionConfig.from_file(args.config) if args.config else ElectionConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "budget", None) is not None:

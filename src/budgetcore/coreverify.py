@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Optional
 
@@ -129,14 +128,14 @@ def residual_certificate(res: np.ndarray, x, budget: float) -> CoreCertificate:
 
 @lru_cache(maxsize=8)
 def _budget_grid_cached(k: int, grid_steps: int) -> np.ndarray:
-    flat = np.fromiter(
-        (j for combo in combinations_with_replacement(range(k), grid_steps) for j in combo),
-        dtype=np.int64,
-    )
-    rows = np.repeat(np.arange(flat.size // grid_steps), grid_steps)
-    out = np.zeros((flat.size // grid_steps, k), dtype=float)
-    np.add.at(out, (rows, flat), 1.0)
-    out /= grid_steps
+    # Item by item, a row with `rest` steps left splits into one row per count
+    # the next item can take, largest first; the last item takes the rest.
+    counts, rest = np.zeros((1, 0), dtype=np.int64), np.array([grid_steps])
+    for _ in range(k - 1):
+        row = np.repeat(np.arange(rest.size), rest + 1)  # the row each new row splits
+        take = rest[row] - (np.arange(row.size) - np.searchsorted(row, row))
+        counts, rest = np.column_stack([counts[row], take]), rest[row] - take
+    out = np.column_stack([counts, rest]) / grid_steps
     out.setflags(write=False)
     return out
 

@@ -46,6 +46,7 @@ from .model import (
     ModelError,
     UtilityModel,
     allocation_vector,
+    reject_bools,
 )
 
 __all__ = [
@@ -95,6 +96,7 @@ class SolverConfig:
     max_iters: int = 50_000
 
     def __post_init__(self) -> None:
+        reject_bools(**vars(self))
         tol = self.residual_tol
         if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
             raise ValueError(f"residual_tol must be finite and >= 0, got {tol!r}")

@@ -44,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .lindahl import SolverConfig, solve_potential
-from .model import Allocation, Instance, Linear, allocation_vector
+from .model import Allocation, Instance, Linear, allocation_vector, reject_bools
 
 __all__ = [
     "MechanismError",
@@ -100,6 +100,7 @@ class MechanismConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        reject_bools(MechanismError, **vars(self))
         gamma, eps = self.gamma, self.epsilon_priv
         if not (isinstance(gamma, numbers.Real) and 0.0 < gamma < 1.0):
             raise MechanismError(f"gamma must lie in (0, 1), got {gamma!r}")

@@ -104,6 +104,14 @@ def allocation_vector(x: Union[Allocation, np.ndarray, list]) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(-1)
 
 
+def reject_bools(error: type = ValueError, **values) -> None:
+    """Raise ``error`` for a bool in ``values`` or their entries: JSON's true
+    passes ``isinstance(v, numbers.Integral)``, but no knob is a flag."""
+    for name, value in values.items():
+        if any(isinstance(v, bool) for v in np.ravel(np.asarray(value, dtype=object))):
+            raise error(f"{name} must be a number, got {value!r}")
+
+
 def _item_sizes(sizes, k: int) -> np.ndarray:
     """Validated, read-only item sizes for instances and the size-based families."""
     s = np.asarray(sizes, dtype=float).reshape(-1)
@@ -437,6 +445,7 @@ def make_model(inst: Instance, family: str, **params) -> UtilityModel:
     for key in sorted(set(params) - {allowed}):
         takes = f"takes only {allowed!r}" if allowed else "takes no parameters"
         raise ModelError(f"unknown parameter {key!r} for utility family {family!r}, which {takes}")
+    reject_bools(ModelError, **params)
     value = params.get(allowed)
     if allowed and value is None:
         raise ModelError(f"utility family {family!r} needs the parameter {allowed!r}")

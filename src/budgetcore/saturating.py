@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import Allocation, Instance
+from .model import Allocation, Instance, reject_bools
 
 __all__ = [
     "HeuristicConfig",
@@ -67,6 +67,7 @@ class HeuristicConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        reject_bools(**vars(self))
         if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         eps, pert = self.eps_target, self.perturb_alpha

@@ -21,19 +21,22 @@ class TestRoundTrip:
         M = np.array([[1.0, 0.0, 2.5], [0.0, 1 / 3, 0.0]])
         path = tmp_path / "votes.csv"
         write_votes(path, M, ["parks", "roads", "wifi"], ["alice", "bob"])
-        out, names, ids = parse_votes(path)
+        written = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[0] for line in written] == ["alice", "bob"]
+        out, names = parse_votes(path)
         assert np.allclose(out, M, rtol=1e-9, atol=0)  # 10 significant digits
         assert names == ["parks", "roads", "wifi"]
-        assert ids == ["alice", "bob"]
 
     def test_stream_round_trip_default_ids(self):
         M = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
         buf = io.StringIO()
         write_votes(buf, M, ["a", "b"])
+        written = buf.getvalue().splitlines()[1:]
+        assert [line.split(",")[0] for line in written] == ["v0", "v1", "v2"]
         buf.seek(0)
-        out, names, ids = parse_votes(buf)
+        out, names = parse_votes(buf)
         assert np.allclose(out, M)
-        assert ids == ["v0", "v1", "v2"]
+        assert names == ["a", "b"]
 
     def test_write_validation(self):
         with pytest.raises(BallotError, match="matrix shape"):
@@ -43,9 +46,8 @@ class TestRoundTrip:
 
     def test_blank_lines_ignored(self):
         text = "voter_id,a,b\nv0,1,0\n\nv1,0,1\n   \n"
-        out, _, ids = parse_votes(io.StringIO(text))
-        assert out.shape == (2, 2)
-        assert ids == ["v0", "v1"]
+        out, _ = parse_votes(io.StringIO(text))
+        assert out.tobytes() == np.array([[1.0, 0.0], [0.0, 1.0]]).tobytes()
 
 
 class TestParseErrors:
@@ -113,7 +115,7 @@ def reference_parse(source):
     if len(set(item_names)) != len(item_names):
         raise BallotError("line 1: duplicate item names in header")
     k = len(item_names)
-    rows, voter_ids = [], []
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -132,11 +134,10 @@ def reference_parse(source):
             raise BallotError(f"line {lineno}: utilities must be finite and nonnegative")
         if not np.any(cells > 0):
             raise BallotError(f"line {lineno}: voter {vid!r} approves nothing (all-zero row)")
-        voter_ids.append(vid)
         rows.append(cells)
     if not rows:
         raise BallotError("votes file has a header but no voter rows")
-    return np.stack(rows), item_names, voter_ids
+    return np.stack(rows), item_names
 
 
 POSITIVE_CELLS = ["1", " 1", "1e-3", "0.5 ", "2.5", "+3", "\t2\t"]
@@ -251,10 +252,10 @@ def fallback_ran(*args, **kwargs):
 
 def parse_outcome(parser, text):
     try:
-        matrix, names, ids = parser(io.StringIO(text, newline=""))
+        matrix, names = parser(io.StringIO(text, newline=""))
     except BallotError as e:
         return "error", str(e)
-    return "ok", (matrix.shape, matrix.tobytes(), names, ids)
+    return "ok", (matrix.shape, matrix.tobytes(), names)
 
 
 class TestOnePassParse:

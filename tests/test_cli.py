@@ -47,7 +47,7 @@ class TestGen:
         assert rc == 0
         assert rep["command"] == "gen"
         assert rep["result"]["voters"] == 5 and rep["result"]["items"] == 2
-        matrix, names, _ = parse_votes(tmp_path / "votes.csv")
+        matrix, names = parse_votes(tmp_path / "votes.csv")
         assert matrix.shape == (5, 2)
         with open(tmp_path / "config.json", encoding="utf-8") as fh:
             assert json.load(fh) == {"budget": 1.0, "seed": 0}
@@ -68,7 +68,7 @@ class TestGen:
                       "--n", "30", "--k", "3", "--param", "p=0.9",
                       "--out", str(tmp_path))
         assert rc == 0
-        matrix, _, _ = parse_votes(tmp_path / "votes.csv")
+        matrix, _ = parse_votes(tmp_path / "votes.csv")
         assert matrix.mean() > 0.75
 
     def test_sized_profile_config_feeds_back(self, capsys, tmp_path):
@@ -227,7 +227,7 @@ class TestSolveSat:
         trace = [float(line.split(",")[1]) for line in lines]
         assert trace[-1] > min(trace)
         assert res["max_violation"] == pytest.approx(min(trace), rel=1e-11)
-        matrix, _, _ = parse_votes(votes)
+        matrix, _ = parse_votes(votes)
         inst = Instance(utilities=matrix, budget=raw["budget"],
                         sizes=np.array([item["size"] for item in raw["items"]]))
         result = heuristic_solve(inst, HeuristicConfig(max_sweeps=8, seed=raw["seed"]))
@@ -354,6 +354,19 @@ class TestCheckCore:
         assert err["error"]["type"] == "ValueError"
         assert f"threshold {threshold}" in err["error"]["message"]
 
+    def test_negative_threshold_is_spelled_with_equals(self, capsys, tmp_path):
+        # argparse reads "-inf" after a space as an option, not a value.
+        votes = self.setup_majority(capsys, tmp_path)
+        argv = ["check-core", "--votes", votes, "--allocation",
+                self.write_alloc(tmp_path, [0.8, 0.2]), "--out", str(tmp_path / "chk")]
+        rc, err = run(capsys, *argv, "--threshold", "-inf")
+        assert rc == 1
+        assert err["error"] == {"type": "CliError",
+                                "message": "argument --threshold: expected one argument"}
+        rc, rep = run(capsys, *argv, "--threshold=-inf")
+        assert rc == 0
+        assert rep["result"]["deviation"] is not None
+
     def test_requires_allocation_flag(self, capsys, tmp_path):
         votes = self.setup_majority(capsys, tmp_path)
         rc, err = run(capsys, "check-core", "--votes", votes,
@@ -387,7 +400,7 @@ class TestMechanism:
         # least the fairness-point bound; it must agree with the library.
         from budgetcore.mechanism import MechanismConfig, approximation_certificate
         from budgetcore.model import Instance
-        matrix, _, _ = parse_votes(votes)
+        matrix, _ = parse_votes(votes)
         inst = Instance(utilities=matrix, budget=1.0)
         cfg_obj = MechanismConfig(gamma=0.5, epsilon_priv=1.0, chain_steps=300,
                                   burn_in=100, seed=3)
@@ -547,6 +560,38 @@ class TestErrors:
         assert err["error"]["type"] == error
         assert named in err["error"]["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check-core", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["gen", "--n", "5"], "the following arguments are required: --profile"),
+        (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-int", "missing-flag", "unknown-flag", "no-command"])
+    def test_usage_error_is_an_error_report(self, capsys, argv, message):
+        rc, err = run(capsys, *argv)
+        assert rc == 1
+        assert err["error"] == {"type": "CliError", "message": message}
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, patch, error, named", [
+        ("solve", {"solver": {"max_iters": True}}, "ValueError", "max_iters"),
+        ("solve", {"solver": {"residual_tol": True}}, "ValueError", "residual_tol"),
+        ("mechanism", {"mechanism": {"chain_steps": True, "burn_in": False}},
+         "MechanismError", "chain_steps"),
+        ("solve", {"budget": True}, "CliError", "budget"),
+        ("solve", {"utility_model": {"family": "powersum", "alpha": True}}, "ModelError",
+         "alpha"),
+    ], ids=["max_iters", "residual_tol", "chain_steps", "budget", "alpha"])
+    def test_boolean_is_not_a_number(self, capsys, tmp_path, command, patch, error, named):
+        # JSON's true passes isinstance(v, numbers.Integral); no number is a flag.
+        votes, config = gen_k_approval(capsys, tmp_path)
+        raw = json.loads(Path(config).read_text(encoding="utf-8"))
+        Path(config).write_text(json.dumps({**raw, **patch}))
+        rc, err = run(capsys, command, "--votes", votes, "--config", config,
+                      "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert err["error"]["type"] == error
+        assert f"{named} must be a" in err["error"]["message"]
+
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
                       "--param", "p0.5", "--out", str(tmp_path))
@@ -647,7 +692,7 @@ class TestConfigParsing:
         rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
                       "--out", str(tmp_path / "gen"))
         votes = rep["artifacts"]["votes_csv"]
-        _, names, _ = parse_votes(votes)
+        _, names = parse_votes(votes)
         config = tmp_path / "partial.json"
         config.write_text(json.dumps({
             "items": [{"name": names[0], "size": 0.5}, {"name": names[1]}],
@@ -664,6 +709,13 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == "budgetcore 0.1.0"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check-core", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: budgetcore" in capsys.readouterr().out
 
     def test_out_env_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BUDGETCORE_OUT", str(tmp_path / "envout"))

@@ -8,7 +8,7 @@ plain scans they replaced (a full grid scan per coalition size, a Python loop
 over bundles), kept below as reference implementations.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -102,6 +102,15 @@ class TestBudgetGrid:
         g = budget_grid(2, 10)
         assert g.shape == (11, 2)
         assert len({tuple(r) for r in g}) == 11
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_row_order_matches_itertools(self, k):
+        # The oracle reports the first best row (np.argmax), so ties between
+        # equally good deviations follow this order.
+        for steps in (1, 2, 3, 7, 10, 40):
+            combos = combinations_with_replacement(range(k), steps)
+            want = np.array([np.bincount(c, minlength=k) for c in combos]) / steps
+            assert budget_grid(k, steps).tobytes() == want.tobytes()
 
     def test_cached_and_read_only(self):
         a, b = budget_grid(3, 12), budget_grid(3, 12)

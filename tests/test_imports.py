@@ -1,10 +1,11 @@
 """Every name a budgetcore module imports is used there or listed in its
 ``__all__``, every ``__all__`` entry names an attribute, no base-class method is shadowed in every concrete subclass,
 every defaulted parameter of a private function is passed somewhere,
-importing the CLI leaves scipy unloaded, and ``analyze`` loads no
-``scipy.stats``."""
+every config field rejects a bool, importing the CLI leaves scipy unloaded,
+and ``analyze`` loads no ``scipy.stats``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -15,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import budgetcore
+from budgetcore.lindahl import SolverConfig
+from budgetcore.mechanism import MechanismConfig
+from budgetcore.saturating import HeuristicConfig
 
 MODULES = sorted(Path(budgetcore.__file__).parent.glob("*.py"))
 
@@ -118,6 +122,20 @@ def unpassed_private_defaults() -> list:
 
 def test_private_defaults_are_passed():
     assert unpassed_private_defaults() == []
+
+
+CONFIG_FIELDS = [(config, f.name)
+                 for config in (SolverConfig, HeuristicConfig, MechanismConfig)
+                 for f in dataclasses.fields(config)]
+
+
+@pytest.mark.parametrize("config, name", CONFIG_FIELDS,
+                         ids=[f"{config.__name__}.{name}" for config, name in CONFIG_FIELDS])
+def test_config_fields_reject_bools(config, name):
+    # JSON's true passes isinstance(v, numbers.Integral); a field added
+    # without the check would read it as 1.
+    with pytest.raises(ValueError, match=f"{name} must be a number, got True"):
+        config(**{name: True})
 
 
 def loaded_scipy_modules(code: str) -> list:
