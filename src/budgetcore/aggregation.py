@@ -218,6 +218,8 @@ def chi2_pairwise(inst: Instance, dof: int = 2, alpha: float = 0.1) -> Independe
 
     if dof < 1:
         raise AggregationError("dof must be at least 1")
+    if not 0 < alpha < 1:  # NaN would flag no pair, and alpha >= 1 every one
+        raise AggregationError(f"alpha must lie in (0, 1), got {alpha!r}")
     votes = inst.utilities > 0
     n, k = votes.shape
     col_sum = votes.sum(axis=0)

@@ -5,17 +5,15 @@ item names; each body row is a voter id plus one nonnegative utility cell per
 item (0/1 for plain approval).  Parsing is strict: wrong-arity rows,
 non-numeric cells, and voters who approve nothing are rejected with the line
 (and column) named, because silently dropping ballots would change every
-downstream quantity.  The body below the header takes the first of three
-paths that accepts it.  The byte path reads a body with no ``"`` and no
-\x1c-\x1f character whose every line is an id, then one comma and one ASCII
-digit per item, then ``\n`` or ``\r\n`` (what :func:`write_votes` writes for
-approval ballots): the digits are read straight from the encoded bytes, and
-any other ``\r`` sends the file on.  Next, numpy's C reader, which rounds
-numbers as ``float()`` does, reads any other body without those characters.
-Every other file, or one both reject or that fails the value checks, takes the
-csv path: :mod:`csv` rows, one ``float()`` pass, whole-matrix checks.  All
-three give the same matrix and item names, or the same error message, which
-names the first faulty line.
+downstream quantity.  The body below the header takes the first of two paths
+that accepts it.  The byte path reads a body with no ``"`` whose every line is
+an id, then one comma and one ASCII digit per item, then ``\n`` or ``\r\n``
+(what :func:`write_votes` writes for approval ballots): the digits are read
+straight from the encoded bytes, and any other ``\r`` sends the file on.
+Every other file, or one that fails the value checks, takes the csv path:
+:mod:`csv` rows, one ``float()`` pass, whole-matrix checks.  Both give the
+same matrix and item names, or the same error message, which names the first
+faulty line.
 
 Generators produce small named families used throughout the tests and docs:
 majority/minority splits, shared-item variants, free-rider setups, and random
@@ -34,13 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, reject_bools
 
 __all__ = ["BallotError", "parse_votes", "write_votes", "gen_synthetic", "PROFILES"]
-
-# numpy's reader has no csv quoting, and it strips \x1c-\x1f around a number,
-# which float() rejects: files whose body holds any of these take the csv path.
-_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
 class BallotError(ValueError):
@@ -141,23 +135,12 @@ def parse_votes(source) -> tuple[np.ndarray, list]:
     if len(set(item_names)) != len(item_names):
         raise BallotError("line 1: duplicate item names in header")
 
-    k, body = len(item_names), lines.tell()
-    # The byte path, then numpy's C reader, unless the body is blank (loadtxt
-    # would warn; the csv path reports it) or holds a character in _CSV_ONLY.
-    body_text = text[body:]
-    if body_text.strip() and not any(c in body_text for c in _CSV_ONLY):
-        matrix = _read_digits(body_text, k)
+    # A quoted id may hold commas and line ends the byte scan would misread.
+    k, body = len(item_names), text[lines.tell():]
+    if '"' not in body:
+        matrix = _read_digits(body, k)
         if matrix is not None:
             return matrix, item_names
-        try:  # the id field makes a row with too many or too few cells an error
-            table = np.loadtxt(lines, delimiter=",", comments=None,
-                               dtype=[("id", object), ("u", float, (k,))], ndmin=1)
-            matrix = np.ascontiguousarray(table["u"])
-            if _valid(matrix):
-                return matrix, item_names
-        except ValueError:  # a spelling the C reader rejects
-            pass
-        lines.seek(body)  # the csv path reads the body again and decides
     rows = [  # (line number, row), blank lines dropped
         (lineno, row) for lineno, row in enumerate(reader, start=2)
         if row and not (len(row) == 1 and not row[0].strip())
@@ -358,6 +341,7 @@ def gen_synthetic(
         raise BallotError(f"unknown profile {profile!r}; known profiles: {known}")
     if n < 1:
         raise BallotError("n must be at least 1")
+    reject_bools(BallotError, **params)  # float(True) would read as 1
     rng = np.random.default_rng(seed)
     params = dict(params)
     u, size_fracs = PROFILES[profile](n, k, seed, rng, params)

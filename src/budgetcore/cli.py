@@ -161,6 +161,7 @@ class ElectionConfig:
             for key in sorted(set(block) - allowed):
                 hint = "; set the top-level 'seed' instead" if key == "seed" else ""
                 raise CliError(f"config {source}: unknown key {key!r} in '{name}'{hint}")
+            knobs(**block)  # checks the values, also for a command that never reads them
             blocks[name] = dict(block)
         seed = raw.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -488,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="pairwise independence tests + clustering")
     common(p)
     p.add_argument("--dof", type=int, default=2, help="chi-squared degrees of freedom")
-    p.add_argument("--alpha", type=float, default=0.1, help="correlation p-value cutoff")
+    p.add_argument("--alpha", type=float, default=0.1, help="correlation p-value cutoff, in (0, 1)")
 
     p = sub.add_parser("gen", help="generate synthetic votes")
     common(p, votes=False)

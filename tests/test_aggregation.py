@@ -265,6 +265,13 @@ class TestIndependenceAnalysis:
         with pytest.raises(AggregationError, match="dof"):
             chi2_pairwise(inst, dof=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, 1.0, 2.0, float("inf")])
+    def test_alpha_validation(self, alpha):
+        # NaN flagged no pair and alpha >= 1 every pair, with no error.
+        inst = Instance(utilities=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], budget=1.0)
+        with pytest.raises(AggregationError, match=r"alpha must lie in \(0, 1\)"):
+            chi2_pairwise(inst, alpha=alpha)
+
 
 class TestRandomModel:
     def test_validation(self):

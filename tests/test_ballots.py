@@ -143,8 +143,8 @@ def reference_parse(source):
 POSITIVE_CELLS = ["1", " 1", "1e-3", "0.5 ", "2.5", "+3", "\t2\t"]
 ZERO_CELLS = ["0", "-0", " 0.0"]
 FAULTY_CELLS = ["x", "", "inf", "-inf", "nan", "-1", "1..2", "1e400", "1\x1c"]
-# Spellings that float() reads but numpy's reader does not: an underscore and
-# Unicode digits.  Files holding them, or quotes, must reach the csv path.
+# Spellings float() reads that most number parsers do not: an underscore and
+# Unicode digits.
 CSV_ONLY_CELLS = ["1_0", "\u0661", "\u0662.5"]
 QUOTED = ['"a,b"', '"say ""hi"""']
 DIGIT_CELLS = list("123456789")
@@ -156,7 +156,7 @@ def random_votes_text(rng):
     three injected faults.  About a third of the files also hold quoted ids
     and item names (with a comma or a doubled quote inside) and spellings
     only ``float()`` reads; of the rest, half hold only one-digit cells, for
-    the byte path, and the others suit numpy's reader."""
+    the byte path, and the others plain decimals, for the csv path."""
     k = int(rng.integers(1, 6))
     exotic = rng.random() < 0.35
     positive, zero = POSITIVE_CELLS, ZERO_CELLS
@@ -203,16 +203,16 @@ BYTE_LAYOUTS = [
     "voter_id,a,b\r\n v\u00e9 ,1,0\r\n\u4e2d\U0001f5f3,0,1\r\n",  # multi-byte UTF-8 ids
     "voter_id,a,b\r\n,1,0\r\n \t,0,1\r\n",  # empty ids
     "voter_id,a,b\nv\ud800,1,0\n\u00e9\udfff,0,1\n",  # lone surrogates (a caller's text)
+    "voter_id,a,b\nv\x1c0,1,0\nv1,0,1\n",  # \x1c in an id: str.splitlines breaks there
 ]
 
-# Hand-made files at the seams between the byte path, numpy's reader and the
-# csv path.
+# Hand-made files at the seams between the byte path and the csv path.
 EDGE_FILES = [
     "voter_id,a\rv0,1\rv1,2",  # bare CR, no final newline
     "voter_id,a,b\nv0,1,\r1\n",  # a CR splits a row
     "voter_id,a\r\n\r\n\r\n",  # header and blank lines only
     "voter_id,a\nv0,1\n\r\r\n\n",
-    "voter_id,a\nv0,1\x1c\n",  # numpy strips \x1c-\x1f, float() does not
+    "voter_id,a\nv0,1\x1c\n",  # float() does not strip \x1c-\x1f
     "voter_id,a\nv0,\x1f1\n",
     "voter_id,a,b\nv0,1\x1d,1\x1e\n",
     "voter_id,a\nv0,1\x0b\nv1,\x0c2\n",  # whitespace both strip
@@ -229,6 +229,7 @@ EDGE_FILES = [
     'voter_id,"a,b"\nv0,1\n',  # quoted header, plain body
     'voter_id,"a\nb"\nv0,1\n',  # a header over two lines
     'voter_id,a\n"v0,x",1\n"v""1",2\n',
+    'voter_id,a,b\n"v0,1,0\nv1",1,0\n',  # one row, that the byte scan would read as two
     "voter_id,a\nv0,1e400\n",
     "voter_id,a\nv0,4.9e-324\nv1,0.1000000000000000055511151231257827\n",
     "voter_id,a\nv0,Infinity\n",
@@ -247,7 +248,7 @@ EDGE_FILES = [
 
 
 def fallback_ran(*args, **kwargs):
-    raise AssertionError("a fallback reader ran")
+    raise AssertionError("the csv path ran")
 
 
 def parse_outcome(parser, text):
@@ -262,72 +263,62 @@ class TestOnePassParse:
     def test_matches_row_by_row_reference(self, monkeypatch):
         kinds = ["not a number", "finite and nonnegative", "approves nothing",
                  "value cells", "no voter rows"]
-        readers = []  # the fallback readers that ran, in order
+        csv_ran = []  # the csv path's fromiter calls
+        fromiter = np.fromiter
 
-        def spy(name):
-            reader = getattr(np, name)
+        def spy(*args, **kwargs):
+            csv_ran.append(True)
+            return fromiter(*args, **kwargs)
 
-            def run(*args, **kwargs):
-                readers.append(name)
-                return reader(*args, **kwargs)
-            return run
-
-        for name in ("loadtxt", "fromiter"):
-            monkeypatch.setattr(ballots.np, name, spy(name))
-        path = {(): "ok via bytes", ("loadtxt",): "ok via numpy"}
+        monkeypatch.setattr(ballots.np, "fromiter", spy)
         rng = np.random.default_rng(20240607)
         seen = set()
         for _ in range(400):
             text = random_votes_text(rng)
-            readers.clear()
+            csv_ran.clear()
             got, want = parse_outcome(parse_votes, text), parse_outcome(reference_parse, text)
             assert got == want, text
             if want[0] == "ok":
-                seen.add(path.get(tuple(readers), "ok via csv"))
+                seen.add("ok via csv" if csv_ran else "ok via bytes")
             else:
                 seen |= {m for m in kinds if m in want[1]}
-        # clean files on all three paths, and every row fault, occurred
-        assert seen == {"ok via bytes", "ok via numpy", "ok via csv", *kinds}
+        # clean files on both paths, and every row fault, occurred
+        assert seen == {"ok via bytes", "ok via csv", *kinds}
 
     @pytest.mark.parametrize("text", EDGE_FILES)
     def test_edge_file_matches_reference(self, text):
         assert parse_outcome(parse_votes, text) == parse_outcome(reference_parse, text)
 
-    def test_clean_file_takes_numpy_reader(self, tmp_path, monkeypatch):
+    def test_float_file_matches_reference(self, tmp_path):
         inst = gen_synthetic("k-approval", 2000, 12, seed=3)
         M = inst.utilities * np.linspace(0.1, 3.7, 12)
         plain = [f"item{j}" for j in range(12)]
-
         # csv.writer quotes a name holding a comma; only the body decides.
         for names in (plain, ["Parks, phase 2"] + plain[1:]):
             path = tmp_path / "votes.csv"
             write_votes(path, M, names)
             with open(path, encoding="utf-8", newline="") as fh:
                 want = reference_parse(fh)
-            with monkeypatch.context() as patch:
-                patch.setattr(ballots.np, "fromiter", fallback_ran)
-                got = parse_votes(path)
+            got = parse_votes(path)
             assert got[0].flags.c_contiguous
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1:] == want[1:]
 
     @pytest.mark.parametrize("text", BYTE_LAYOUTS)
     def test_one_digit_layout_takes_byte_path(self, text, monkeypatch):
-        for name in ("loadtxt", "fromiter"):
-            monkeypatch.setattr(ballots.np, name, fallback_ran)
+        monkeypatch.setattr(ballots.np, "fromiter", fallback_ran)
         assert parse_outcome(parse_votes, text) == parse_outcome(reference_parse, text)
 
     def test_generated_file_takes_byte_path(self, tmp_path, monkeypatch):
         # write_votes ends lines with csv.writer's \r\n and spells 0/1 as one
-        # digit, so a generated approval file never needs a fallback reader.
+        # digit, so a generated approval file never reaches the csv path.
         inst = gen_synthetic("k-approval", 2000, 12, seed=3)
         path = tmp_path / "votes.csv"
         write_votes(path, inst.utilities, ["Parks, phase 2"] + [f"item{j}" for j in range(1, 12)])
         assert b"\r\n" in path.read_bytes()
         with open(path, encoding="utf-8", newline="") as fh:
             want = reference_parse(fh)
-        for name in ("loadtxt", "fromiter"):
-            monkeypatch.setattr(ballots.np, name, fallback_ran)
+        monkeypatch.setattr(ballots.np, "fromiter", fallback_ran)
         got = parse_votes(path)
         assert got[0].flags.c_contiguous
         assert got[0].tobytes() == want[0].tobytes()
@@ -456,6 +447,14 @@ class TestGenDispatch:
     def test_unknown_profile(self):
         with pytest.raises(BallotError, match="unknown profile 'nope'; known profiles:"):
             gen_synthetic("nope", n=5)
+
+    @pytest.mark.parametrize("profile, param", [
+        ("independent-bernoulli", "p"), ("block-correlated", "p"), ("k-approval", "approvals"),
+    ])
+    def test_boolean_params_rejected(self, profile, param):
+        # float(True) and int(True) are 1: a flag would pass as p = 1.0 or 1 approval.
+        with pytest.raises(BallotError, match=f"{param} must be a number, got True"):
+            gen_synthetic(profile, n=5, k=4, **{param: True})
 
     def test_unused_params_rejected(self):
         with pytest.raises(BallotError, match=r"unused parameters for profile 'figure1a': \['p'\]"):

@@ -546,6 +546,13 @@ class TestErrors:
         pytest.param("solve", {"seed": True}, "CliError", "seed", id="seed-true"),
         pytest.param("solve", {"items": [{"name": ["a"]}]}, "CliError", "item name",
                      id="item-name-list"),
+        # Blocks the command never reads are checked when the config is loaded.
+        pytest.param("analyze", {"solver": {"max_iters": -1}}, "ValueError", "max_iters",
+                     id="analyze-unread-solver"),
+        pytest.param("solve", {"heuristic": {"max_sweeps": 0}}, "ValueError", "max_sweeps",
+                     id="solve-unread-heuristic"),
+        pytest.param("solve", {"mechanism": {"gamma": 5, "chain_steps": -3}}, "MechanismError",
+                     "gamma", id="solve-unread-mechanism"),
     ])
     def test_out_of_range_heuristic_value_is_an_error_report(self, capsys, tmp_path,
                                                              command, patch, error, named):
@@ -591,6 +598,26 @@ class TestErrors:
         assert rc == 1
         assert err["error"]["type"] == error
         assert f"{named} must be a" in err["error"]["message"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "2", "inf"])
+    def test_alpha_outside_unit_interval_is_an_error_report(self, capsys, tmp_path, alpha):
+        # NaN and -1 flagged no pair, 2 and inf every pair, all with exit code 0.
+        votes, _ = gen_k_approval(capsys, tmp_path)
+        rc, err = run(capsys, "analyze", "--votes", votes, f"--alpha={alpha}",
+                      "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert err["error"]["type"] == "AggregationError"
+        assert "alpha must lie in (0, 1)" in err["error"]["message"]
+
+    @pytest.mark.parametrize("profile, param", [
+        ("independent-bernoulli", "p=true"), ("k-approval", "approvals=true"),
+    ])
+    def test_boolean_param_is_not_a_number(self, capsys, tmp_path, profile, param):
+        rc, err = run(capsys, "gen", "--profile", profile, "--n", "5", "--k", "3",
+                      "--param", param, "--out", str(tmp_path))
+        assert rc == 1
+        assert err["error"]["type"] == "BallotError"
+        assert "must be a number, got True" in err["error"]["message"]
 
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",

@@ -79,7 +79,7 @@ def test_linear_solution_is_unblocked(data):
 
 
 # Names and ids from the second alphabet are quoted on write (a comma, a
-# quote or a line break) or hold a separator numpy's reader leaves to csv.
+# quote or a line break) or hold \x1c, where str.splitlines breaks a line.
 LABELS = st.one_of(
     st.text(st.sampled_from("ab7_ -."), max_size=6),
     st.text(st.sampled_from('ab ,"\t\r\n\x1c\u00e9'), max_size=6),
