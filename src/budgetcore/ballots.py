@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +35,9 @@ import numpy as np
 from .model import Instance, reject_bools
 
 __all__ = ["BallotError", "parse_votes", "write_votes", "gen_synthetic", "PROFILES"]
+
+# A line as io.StringIO(text, newline="") yields it: \n, \r\n or \r ends it.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 class BallotError(ValueError):
@@ -117,8 +120,7 @@ def parse_votes(source) -> tuple[np.ndarray, list]:
     """
     with _open_source(source) as fh:
         text = fh.read()
-    lines = io.StringIO(text, newline="")
-    reader = csv.reader(lines)
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -135,8 +137,11 @@ def parse_votes(source) -> tuple[np.ndarray, list]:
     if len(set(item_names)) != len(item_names):
         raise BallotError("line 1: duplicate item names in header")
 
+    body_at = 0  # the header is the reader's first line_num lines
+    for _ in range(reader.line_num):
+        body_at = _LINE.match(text, body_at).end()
     # A quoted id may hold commas and line ends the byte scan would misread.
-    k, body = len(item_names), text[lines.tell():]
+    k, body = len(item_names), text[body_at:]
     if '"' not in body:
         matrix = _read_digits(body, k)
         if matrix is not None:
@@ -167,7 +172,7 @@ def write_votes(
     voter_ids: Optional[Sequence] = None,
 ) -> None:
     """Write a votes CSV in the format :func:`parse_votes` reads back."""
-    M = np.asarray(matrix, dtype=float)
+    M = np.ascontiguousarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[1] != len(item_names):
         raise BallotError("matrix shape does not match item names")
     if voter_ids is None:
@@ -177,8 +182,12 @@ def write_votes(
     with _open_source(target, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["voter_id", *item_names])
-        for vid, row in zip(voter_ids, M):
-            writer.writerow([vid, *(f"{v:.10g}" for v in row)])
+        # Format each distinct value in a block of rows once; bits keep -0.0 apart from 0.0.
+        for lo in range(0, len(M), 1024):
+            bits, cell = np.unique(M[lo:lo + 1024].view(np.uint64), return_inverse=True)
+            text = np.array([f"{v:.10g}" for v in bits.view(float).tolist()], dtype=object)
+            rows = text[cell.reshape(-1, M.shape[1])].tolist()
+            writer.writerows([vid, *row] for vid, row in zip(voter_ids[lo:lo + 1024], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +254,11 @@ def _k_approval(n, k, seed, rng, params):
     approvals = int(params.pop("approvals", 4))
     if not 1 <= approvals <= k:
         raise BallotError(f"approvals must lie in [1, k], got {approvals}")
-    u = np.zeros((n, k))
+    picks = np.empty((n, approvals), dtype=np.intp)
     for i in range(n):
-        u[i, rng.choice(k, size=approvals, replace=False)] = 1.0
+        picks[i] = rng.choice(k, size=approvals, replace=False)
+    u = np.zeros((n, k))
+    np.put_along_axis(u, picks, 1.0, axis=1)
     sizes = rng.uniform(0.08, 0.25, size=k)
     return u, sizes
 

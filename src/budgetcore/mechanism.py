@@ -31,6 +31,7 @@ it exactly, with no envelope.  One lockstep driver runs the chains of all
 three samplers: the single draw (the final state of one chain), pooled draws
 from many chains, and manipulation experiments, whose report variants share
 one stream of randomness so that identical reports yield identical chains.
+The driver draws that stream a block of steps at a time, in array work.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
 _FEAS_TOL = 1e-9
 # Proposals one chord slice step may make before it raises RejectionCapError.
 _PROPOSAL_CAP = 10_000
+_BLOCK, _ROUNDS = 256, 4  # sampler steps drawn at once; shrink uniforms per step
 
 
 class MechanismError(ValueError):
@@ -164,17 +166,13 @@ class FeasibleSet:
 
     def chord(self, X: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Parameter interval [t_lo, t_hi] with X + t*D inside the set, per row."""
-        lb = self.lower_bound
+        # Each constraint, x_j >= lb and sum(x) <= 1, reads t*H >= num.
+        H = np.concatenate([D, -D.sum(axis=1, keepdims=True)], axis=1)
+        num = np.concatenate([self.lower_bound - X, X.sum(axis=1, keepdims=True) - 1.0], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_floor = (lb - X) / D
-        t_lo = np.where(D > 0, t_floor, -np.inf).max(axis=1)
-        t_hi = np.where(D < 0, t_floor, np.inf).min(axis=1)
-        sd = D.sum(axis=1)
-        room = 1.0 - X.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_sum = room / sd
-        t_lo = np.maximum(t_lo, np.where(sd < 0, t_sum, -np.inf))
-        t_hi = np.minimum(t_hi, np.where(sd > 0, t_sum, np.inf))
+            r = num / H
+        t_lo = r.max(axis=1, where=H > 0, initial=-np.inf)
+        t_hi = r.min(axis=1, where=H < 0, initial=np.inf)
         return t_lo, np.maximum(t_hi, t_lo)
 
 
@@ -215,7 +213,7 @@ class _Scorer:
     override: Optional[np.ndarray] = None
 
     def inner_terms(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inner maximum value and its argmax item, for each row of X."""
+        """Inner maximum value and the per-item values it maximizes, for each row of X."""
         U = X @ self.nu.T
         if self.agent is not None:
             U[:, self.agent] = np.einsum("ck,ck->c", X, self.override)
@@ -224,9 +222,8 @@ class _Scorer:
         if self.agent is not None:
             corr = inv[:, self.agent][:, None]
             per_item = per_item + corr * (self.override - self.nu[self.agent][None, :])
-        best_j = per_item.argmax(axis=1)
         value = self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * per_item.max(axis=1)
-        return value, best_j
+        return value, per_item
 
     def q(self, X: np.ndarray) -> np.ndarray:
         value, _ = self.inner_terms(X)
@@ -245,8 +242,8 @@ def _inner_at(
             "allocation lies outside the floored simplex "
             f"(floor {fs.lower_bound:.6g}, total {xv.sum():.6g})"
         )
-    value, best_j = _Scorer(inst.utilities, fs).inner_terms(xv[None, :])
-    return fs, float(value[0]), int(best_j[0])
+    value, per_item = _Scorer(inst.utilities, fs).inner_terms(xv[None, :])
+    return fs, float(value[0]), int(per_item[0].argmax())
 
 
 def inner_max(
@@ -363,17 +360,18 @@ def _hit_and_run(
 ):
     """Advance all chains in lockstep; stack the states after the steps in ``keep``.
 
-    Each step draws a direction and a slice level ``eps*q(X) - Exponential(1)``
+    Each step draws a direction and a slice level ``q(X) - Exponential(1)/eps``
     per chain, then proposes uniformly on the chord, shrinking its bracket
     toward the current point after each miss, until the proposal clears the
     level.  ``proposals`` counts the proposals of chains still pending.
 
     ``crn_width`` < chains means random draws are made at that width and tiled,
     so chains that differ only in block index consume identical randomness --
-    the pairing that makes misreport experiments exactly reproducible.  A step
-    takes a fixed amount from ``rng`` (direction, level, one seed for the
-    shrink rounds), so no chain's path depends on how many rounds other chains
-    in the batch needed.
+    the pairing that makes misreport experiments exactly reproducible.  Draws
+    come from ``rng`` in whole blocks of _BLOCK steps, even past ``n_steps``, so
+    a chain's first s states do not depend on its length.  A step's share of a
+    block is fixed (direction, level, _ROUNDS shrink uniforms, and a seed for
+    any later rounds), so no chain's path depends on other chains' rounds.
     """
     fs = scorer.fs
     eps = cfg.epsilon_priv
@@ -383,35 +381,46 @@ def _hit_and_run(
     if chains % width != 0:
         raise MechanismError("chain count must be a multiple of the random-draw width")
     lb = fs.lower_bound
+    reps, all_chains = chains // width, np.ones(chains, dtype=bool)
     kept: list[np.ndarray] = []
     proposals = 0
     worst_round = 0
     for step in range(n_steps):
-        D = _tile(rng.standard_normal((width, k)), chains, width)
-        D /= np.linalg.norm(D, axis=1, keepdims=True)
-        level = eps * scorer.q(X) - _tile(rng.standard_exponential(width), chains, width)
-        shrink_rng = np.random.default_rng(rng.integers(2**63))
+        s = step % _BLOCK
+        if s == 0:  # drawn at width; np.tile repeats the chain axis to chains
+            Ds = rng.standard_normal((_BLOCK, width, k))
+            Ds = np.tile(Ds / np.linalg.norm(Ds, axis=2, keepdims=True), (reps, 1))
+            Es = np.tile(rng.standard_exponential((_BLOCK, width)) / eps, reps)
+            Us = np.tile(rng.random((_BLOCK, _ROUNDS, width)), reps)
+            seeds = rng.integers(2**63, size=_BLOCK)
+        D = Ds[s]
+        level = scorer.q(X) - Es[s]
         a, b = fs.chord(X, D)
-        t_new = np.zeros(chains)
-        pending = np.ones(chains, dtype=bool)
+        t_new, pending, n_pending = np.zeros(chains), all_chains.copy(), chains
         rounds = 0
-        while pending.any():
+        while n_pending:
             if rounds >= _PROPOSAL_CAP:
                 raise RejectionCapError(
                     f"chord slice sampling exceeded {_PROPOSAL_CAP} proposals at step {step} "
-                    f"({int(pending.sum())} of {chains} chains pending, "
+                    f"({n_pending} of {chains} chains pending, "
                     f"epsilon={eps:g}); lower epsilon"
                 )
-            t = a + _tile(shrink_rng.random(width), chains, width) * (b - a)
+            if rounds == _ROUNDS:  # past the block's uniforms: the step's own stream
+                step_rng = np.random.default_rng(seeds[s])
+            u = Us[s, rounds] if rounds < _ROUNDS else _tile(step_rng.random(width), chains, width)
+            t = a + u * (b - a)
             # Score every chain, settled or not: paired chains must see
             # bitwise-identical arithmetic.
-            ok = pending & (eps * scorer.q(X + t[:, None] * D) > level)
-            proposals += int(pending.sum())
+            ok = pending & (scorer.q(X + t[:, None] * D) > level)
+            proposals += n_pending
             t_new = np.where(ok, t, t_new)
-            pending &= ~ok
-            a = np.where(t < 0.0, t, a)
-            b = np.where(t < 0.0, b, t)
+            pending ^= ok  # ok holds pending chains only
+            n_pending = np.count_nonzero(pending)
             rounds += 1
+            if n_pending:  # shrink the bracket toward the current point, t = 0
+                below = t < 0.0
+                a = np.where(below, t, a)
+                b = np.where(below, b, t)
         worst_round = max(worst_round, rounds)
 
         X = X + t_new[:, None] * D

@@ -38,6 +38,24 @@ class TestRoundTrip:
         assert np.allclose(out, M)
         assert names == ["a", "b"]
 
+    def test_writes_what_a_row_loop_writes(self):
+        # Distinct values are formatted once per block of rows; the text must
+        # match formatting every cell in turn, -0.0 and block edges included.
+        rng = np.random.default_rng(5)
+        pool = np.array([0.0, -0.0, 1.0, 1 / 3, 2.5, 1e-300, 123456789012.0])
+        M = np.where(rng.random((5000, 3)) < 0.5, rng.choice(pool, (5000, 3)),
+                     rng.uniform(0, 10, (5000, 3)))
+        ids = [f"id,{i}" for i in range(len(M))]
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["voter_id", "a", "b", "c"])
+        for vid, row in zip(ids, M):
+            writer.writerow([vid, *(f"{v:.10g}" for v in row)])
+        got = io.StringIO()
+        write_votes(got, np.asfortranarray(M), ["a", "b", "c"], ids)
+        assert got.getvalue() == want.getvalue()
+        assert (np.signbit(M) & (M == 0)).any() and "-0" in got.getvalue()
+
     def test_write_validation(self):
         with pytest.raises(BallotError, match="matrix shape"):
             write_votes(io.StringIO(), np.ones((2, 3)), ["a", "b"])
@@ -431,7 +449,14 @@ class TestRandomProfiles:
         assert np.all(inst.utilities.sum(axis=1) == 4)  # default approval count
         assert inst.sizes.shape == (10,)
         assert np.all((inst.sizes >= 0.08 * 500.0) & (inst.sizes <= 0.25 * 500.0))
-        narrow = gen_synthetic("k-approval", n=30, k=10, seed=3, approvals=2)
+        # One row's draw after another, as every generated election was made.
+        rng = np.random.default_rng(3)
+        want = np.zeros((30, 10))
+        for i in range(30):
+            want[i, rng.choice(10, size=4, replace=False)] = 1.0
+        assert np.array_equal(inst.utilities, want)
+        assert np.array_equal(inst.sizes, rng.uniform(0.08, 0.25, size=10) * 500.0)
+        narrow =gen_synthetic("k-approval", n=30, k=10, seed=3, approvals=2)
         assert np.all(narrow.utilities.sum(axis=1) == 2)
         with pytest.raises(BallotError, match=r"approvals must lie in \[1, k\]"):
             gen_synthetic("k-approval", n=10, k=3, approvals=5)

@@ -446,6 +446,21 @@ class TestSampling:
                               burn_in=500, seed=0)
         with pytest.raises(RejectionCapError, match="exceeded 1 proposals"):
             sample_chain(TV_INSTANCE, cfg, 2000, n_chains=20)
+        # The cap also holds in rounds past the block's shrink uniforms.
+        cap = mechanism._ROUNDS + 2
+        monkeypatch.setattr(mechanism, "_PROPOSAL_CAP", cap)
+        with pytest.raises(RejectionCapError, match=f"exceeded {cap} proposals"):
+            sample_chain(TV_INSTANCE, cfg, 2000, n_chains=20)
+
+    @pytest.mark.parametrize("n_chains", [1, 10])
+    def test_chain_prefix_does_not_depend_on_length(self, n_chains):
+        # A chain's randomness is drawn in whole blocks of steps (256), so a
+        # shorter chain is a prefix of a longer one with the same seed,
+        # across the block boundary too.
+        cfg = replace(TV_CFG, burn_in=0)
+        short, _ = sample_chain(TV_INSTANCE, cfg, 300 * n_chains, n_chains=n_chains)
+        long, _ = sample_chain(TV_INSTANCE, cfg, 600 * n_chains, n_chains=n_chains)
+        assert np.array_equal(short, long[: 300 * n_chains])
 
     def test_single_draw_is_last_state_of_one_chain(self):
         # Both entry points share one set-up and one driver: the same seed
@@ -509,6 +524,27 @@ class TestManipulation:
                 alone, _ = manipulation_sweep(self.inst, 0, lie, cfg, trials=5)
                 shared, _ = manipulation_sweep(self.inst, 0, batch, cfg, trials=5)
                 assert alone[0] == shared[0], (eps, seed)
+
+    def test_pairing_holds_past_the_block_shrink_rounds(self, monkeypatch):
+        # Steps needing more shrink rounds than a block holds draw the rest
+        # from their own seeded stream; a report's gain must not depend on
+        # which other reports share the sweep there either.
+        diags = []
+        run = mechanism._hit_and_run
+
+        def spy(*args, **kwargs):
+            out = run(*args, **kwargs)
+            diags.append(out[2])
+            return out
+
+        monkeypatch.setattr(mechanism, "_hit_and_run", spy)
+        cfg = replace(self.cfg, epsilon_priv=5.0)
+        lie = np.array([[1.0, 0.0]])
+        batch = np.vstack([[[0.0, 1.0], [0.5, 0.5]], lie])
+        alone, _ = manipulation_sweep(self.inst, 0, lie, cfg, trials=5)
+        shared, _ = manipulation_sweep(self.inst, 0, batch, cfg, trials=5)
+        assert min(d["worst_rejection_rounds"] for d in diags) > mechanism._ROUNDS
+        assert alone[0] == shared[2]
 
     def test_gain_is_deterministic(self):
         mis = np.array([[1.0, 0.0], [0.0, 1.0]])
