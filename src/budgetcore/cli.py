@@ -277,7 +277,7 @@ def _cmd_solve(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> 
 
 def _cmd_solve_sat(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     inst.require_sizes()
-    heur_cfg = HeuristicConfig(seed=cfg.seed, **cfg.heuristic)
+    heur_cfg = HeuristicConfig(**cfg.heuristic)
     result = heuristic_solve(inst, heur_cfg)
     report["artifacts"]["trace_csv"] = _write_trace(out_dir, result.max_violation_trace)
     return {
@@ -339,7 +339,7 @@ def _cmd_mechanism(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict)
 
 def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     sizes = inst.require_sizes()
-    heur_cfg = HeuristicConfig(seed=cfg.seed, **cfg.heuristic)
+    heur_cfg = HeuristicConfig(**cfg.heuristic)
     core_solution = heuristic_solve(inst, heur_cfg)
     core = rank_and_round(inst, Scheme.CORE, fractional_core=core_solution.x)
     welfare = rank_and_round(inst, Scheme.WELFARE)

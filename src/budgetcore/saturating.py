@@ -16,13 +16,14 @@ convex-program route does not apply directly.  Two workarounds:
       lhs_j = (B/n) * sum_i u_ij y_j / (sum_m u_im x_m y_m)  vs  1
 
   should hold with equality on funded items, one-sidedly (<=) on unfunded
-  ones.  Each sweep picks the item with the largest violation and restores its
-  condition by safeguarded Newton (bisection where a Newton step is unusable)
-  on a bracket around the root, first in x_j at y_j = 1/s_j, then in y_j at
-  x_j = s_j if the spend saturates.  Utilities are jittered once up front to
-  break degeneracies; convergence is not guaranteed and is reported honestly.
-  A sweep costs one n x k product (every lhs_j) plus O(n) per root evaluation:
-  the voters' denominators are carried across sweeps and updated for item j.
+  ones and (>=) on pinned ones, saturated items whose lhs stays >= 1 however
+  small y_j gets.  Each sweep picks the item with the largest violation and
+  restores its condition by safeguarded Newton (bisection where a Newton step
+  is unusable) on a bracket around the root, first in x_j at y_j = 1/s_j, then
+  in y_j at x_j = s_j if the spend saturates.  Convergence, judged on the
+  ballots as given, is not guaranteed and is reported honestly.  A sweep costs
+  one n x k product (every lhs_j) plus O(n) per root evaluation on the item's
+  supporters: the voters' denominators are carried and updated for item j.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ __all__ = [
 ]
 
 # Lower end of the root bracket for the subgradient, as a fraction of the
-# slope 1/s_j.  Below this the condition is judged unreachable and the item is
-# pinned at full funding.
+# slope 1/s_j.  Where the condition is still unreachable there, the re-solve
+# leaves the item at full funding and the slope.
 _Y_BRACKET_FLOOR = 1e-12
 _ROOT_MAX_ITERS = 200
 _ROOT_TOL = 1e-10  # accepted root bracket, relative to max(s_j, 1) in x_j, 1/s_j in y_j
@@ -55,31 +56,21 @@ _ROOT_TOL = 1e-10  # accepted root bracket, relative to max(s_j, 1) in x_j, 1/s_
 class HeuristicConfig:
     """Knobs for ``heuristic_solve``.
 
-    ``eps_target`` defaults to 1/n and ``perturb_alpha`` to 1/k^2 at solve
-    time (both depend on the instance, hence the None sentinel).  Otherwise
-    ``eps_target`` is finite and > 0, ``perturb_alpha`` finite and >= 0, and
-    ``max_sweeps`` an integer >= 1; anything else raises ``ValueError``.
+    ``eps_target`` defaults to 1/n at solve time (it depends on the instance,
+    hence the None sentinel); otherwise it is finite and > 0.  ``max_sweeps``
+    is an integer >= 1.  Anything else raises ``ValueError``.
     """
 
     eps_target: Optional[float] = None
-    perturb_alpha: Optional[float] = None
     max_sweeps: int = 10_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         reject_bools(**vars(self))
         if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
-        eps, pert = self.eps_target, self.perturb_alpha
+        eps = self.eps_target
         if eps is not None and not (isinstance(eps, numbers.Real) and 0 < eps < math.inf):
             raise ValueError(f"eps_target must be None or finite and > 0, got {eps!r}")
-        if pert is not None and not (isinstance(pert, numbers.Real) and 0 <= pert < math.inf):
-            raise ValueError(f"perturb_alpha must be None or finite and >= 0, got {pert!r}")
-
-    def resolve(self, n: int, k: int) -> Tuple[float, float]:
-        eps = 1.0 / n if self.eps_target is None else self.eps_target
-        pert = 1.0 / k**2 if self.perturb_alpha is None else self.perturb_alpha
-        return eps, pert
 
 
 @dataclass
@@ -88,7 +79,6 @@ class HeuristicResult:
     y: np.ndarray
     max_violation_trace: list = field(default_factory=list)
     converged: bool = False
-    perturbed_utilities: Optional[np.ndarray] = None
     # True when the returned spend, converged or not, misses the budget by
     # more than eps * B (reported, never silently rescaled).
     budget_flagged: bool = False
@@ -104,9 +94,9 @@ def smoothing_alpha(budget: float, s_min: float, eps_smooth: float) -> float:
 def _gaps(w: np.ndarray, x: float, y: float, scale: float) -> Tuple[float, float, float, float]:
     """(1 - 1/lhs_j, its x_j-derivative, 1 - lhs_j, its y_j-derivative) at (x, y).
 
-    ``w`` holds rest_i / u_ij, +inf for voters with u_ij = 0, so voter i's term
-    u_ij / (rest_i + u_ij x y) is 1 / (w_i + x y).  Each gap is decreasing
-    and convex in its variable: 1/lhs_j is a harmonic mean of affine functions
+    ``w`` holds rest_i / u_ij over the voters with u_ij > 0 (the others add 0),
+    so voter i's term u_ij / (rest_i + u_ij x y) is 1 / (w_i + x y).  Each gap
+    is decreasing and convex in its variable: 1/lhs_j is a harmonic mean of affine functions
     of x_j (linear for one voter), and lhs_j is increasing and concave in y_j.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,43 +132,45 @@ def _decreasing_root(h, lo: float, hi: float, at_lo: Tuple[float, float],
 
 
 def _resolve_item(u_col: np.ndarray, s_j: float, rest: np.ndarray, scale: float,
-                  tol: float) -> Tuple[float, float, bool]:
+                  tol: float) -> Tuple[float, float]:
     """Restore item j's condition given everybody else's contributions ``rest``.
 
-    Returns (x_j, y_j, pinned); pinned means the item saturates and no
-    subgradient choice can reach equality (its lhs is then judged one-sidedly).
+    Returns (x_j, y_j).  A saturated item whose condition the y bracket cannot
+    reach keeps (s_j, 1/s_j).
     """
-    w = np.divide(rest, u_col, out=np.full_like(rest, np.inf), where=u_col > 0)
+    on = u_col > 0
+    w = rest[on] / u_col[on]
     slope = 1.0 / s_j
     at_zero = _gaps(w, 0.0, slope, scale)[:2]
     if at_zero[0] <= 0.0:
         # Equality would need negative spend; the inequality holds at zero.
-        return 0.0, slope, False
+        return 0.0, slope
     if _gaps(w, s_j, slope, scale)[0] < 0.0:
         xj = _decreasing_root(lambda x: _gaps(w, x, slope, scale)[:2],
                               0.0, s_j, at_zero, tol * max(s_j, 1.0))
-        return xj, slope, False
+        return xj, slope
     # Saturates: clamp the spend and search the subgradient instead.
     lo = _Y_BRACKET_FLOOR * slope
     at_lo = _gaps(w, s_j, lo, scale)[2:]
     if at_lo[0] <= 0.0:
-        return s_j, slope, True
+        return s_j, slope
     yj = _decreasing_root(lambda y: _gaps(w, s_j, y, scale)[2:],
                           lo, slope, at_lo, tol * slope)
-    return s_j, yj, False
+    return s_j, yj
 
 
 def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> HeuristicResult:
     """Worst-item sweep heuristic for hard saturating utilities.
 
-    Deterministic given the seed.  May fail to converge (``converged=False``
-    with the best iterate found); never rescales the spend to force budget
-    feasibility — a miss beyond eps * B is flagged instead.
+    Deterministic.  May fail to converge (``converged=False`` with the best
+    iterate found), and stops when the worst item's re-solve returns it
+    unchanged; never rescales the spend to force budget feasibility -- a miss
+    beyond eps * B is flagged instead.
     """
     cfg = cfg or HeuristicConfig()
     sizes = inst.require_sizes()
     n, k, B = inst.n, inst.k, inst.budget
-    eps_target, perturb = cfg.resolve(n, k)
+    eps_target = 1.0 / n if cfg.eps_target is None else cfg.eps_target
 
     if sizes.sum() <= B * (1.0 + 1e-12):
         # Everything fits: full funding puts every voter at maximum utility
@@ -189,19 +181,18 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
             y=1.0 / sizes,
             max_violation_trace=[(1, 0.0)],
             converged=True,
-            perturbed_utilities=inst.utilities.copy(),
             budget_flagged=abs(float(sizes.sum()) - B) > eps_target * B,
         )
 
-    rng = np.random.default_rng(cfg.seed)
-    u = np.array(inst.utilities, order="F")  # columns u[:, j] are contiguous
-    if perturb > 0:
-        u += rng.uniform(0.0, perturb, size=u.shape)
+    u = np.asfortranarray(inst.utilities)  # columns u[:, j] are contiguous
     scale = B / n
 
     x = np.minimum(sizes, B / k)
     y = 1.0 / sizes
-    pinned = np.zeros(k, dtype=bool)
+    # A saturated item is pinned when (B/n) solo_j >= s_j, the y_j -> 0 limit
+    # of lhs_j: solo_j counts the voters who value j and no other funded item.
+    funded = np.count_nonzero(u[:, x > 0] > 0, axis=1)
+    pinnable = scale * np.count_nonzero(u[funded == 1] > 0, axis=0) >= sizes
     trace = []
     best = (np.inf, x.copy(), y.copy())
     converged = False
@@ -211,8 +202,8 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
     for sweep in range(1, cfg.max_sweeps + 1):
         with np.errstate(divide="ignore"):
             inv = 1.0 / denom
-        lhs = scale * y * (u.T @ inv)
-        over = lhs - 1.0
+        over = scale * y * (u.T @ inv) - 1.0
+        pinned = (x == sizes) & pinnable
         viol = np.where(
             x == 0.0,
             np.maximum(over, 0.0),
@@ -227,12 +218,14 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
             break
         j = int(np.argmax(viol))
         rest = denom - u[:, j] * contrib[j]
-        xj, yj, pin = _resolve_item(u[:, j], float(sizes[j]), rest, scale, _ROOT_TOL)
+        xj, yj = _resolve_item(u[:, j], float(sizes[j]), rest, scale, _ROOT_TOL)
+        if xj == x[j] and yj == y[j]:
+            break  # the worst item cannot move, so every later sweep repeats this one
+        if (xj > 0.0) != (x[j] > 0.0):
+            funded += np.where(u[:, j] > 0, 1 if xj > 0.0 else -1, 0)
+            pinnable = scale * np.count_nonzero(u[funded == 1] > 0, axis=0) >= sizes
         x[j], y[j], contrib[j] = xj, yj, xj * yj
         denom = rest + u[:, j] * contrib[j]
-        # Any move elsewhere can unpin an item, so pins survive one sweep only.
-        pinned[:] = False
-        pinned[j] = pin
 
     if not converged:
         _, x, y = best
@@ -241,6 +234,5 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
         y=y,
         max_violation_trace=trace,
         converged=converged,
-        perturbed_utilities=u,
         budget_flagged=bool(abs(x.sum() - B) > eps_target * B),
     )

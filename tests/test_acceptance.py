@@ -29,7 +29,7 @@ from budgetcore.mechanism import (
     score_q,
 )
 from budgetcore.model import Instance, make_model
-from budgetcore.saturating import HeuristicConfig, heuristic_solve
+from budgetcore.saturating import heuristic_solve
 
 from conftest import BOSTON_BUDGET
 from test_mechanism import tv_against_target
@@ -190,7 +190,7 @@ def test_criterion_06_saturating_heuristic_convergence():
         for seed in range(50):
             inst = gen_synthetic("k-approval", n=n, k=10, seed=seed)
             t0 = time.perf_counter()
-            res = heuristic_solve(inst, HeuristicConfig(seed=seed))
+            res = heuristic_solve(inst)
             slowest = max(slowest, time.perf_counter() - t0)
             runs += 1
             final = res.max_violation_trace[-1][1]
@@ -231,7 +231,7 @@ def test_criterion_07_welfare_rounding_and_scheme_agreement(boston):
             empty = ~votes.any(axis=1)
         sizes = rng.uniform(0.08, 0.25, 10)
         inst = Instance(utilities=votes.astype(float), budget=1.0, sizes=sizes)
-        core_x = heuristic_solve(inst, HeuristicConfig(seed=t)).x
+        core_x = heuristic_solve(inst).x
         core = rank_and_round(inst, "core", fractional_core=core_x)
         welfare = rank_and_round(inst, "welfare")
         agree += jaccard(core.integral, welfare.integral) == 1.0

@@ -66,9 +66,7 @@ def tv_against_target(inst, cfg, n_samples, n_chains, thin, grid=50, sub=8):
     pts = np.column_stack([P1.ravel(), P2.ravel()])
     inside = pts.sum(axis=1) <= 1.0
     q = np.full(pts.shape[0], -np.inf)
-    q[inside] = np.array(
-        [score_q(inst, p, cfg) for p in pts[inside]]
-    )
+    q[inside] = mechanism._Scorer(inst.utilities, fs).q(pts[inside])  # score_q, batched
     dens = np.where(inside, np.exp(cfg.epsilon_priv * (q - q[inside].max())), 0.0)
     cells = dens.reshape(grid, sub, grid, sub).sum(axis=(1, 3))
     target = (cells / cells.sum()).ravel()
