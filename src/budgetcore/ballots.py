@@ -116,10 +116,11 @@ def _read_digits(body: str, k: int) -> Optional[np.ndarray]:
 def parse_votes(source) -> tuple[np.ndarray, list]:
     """Read a votes CSV; returns (matrix, item_names), a row per voter in file order.
 
-    ``source`` may be a path or an open text stream.
+    ``source`` may be a path or an open text stream; one leading byte-order
+    mark is dropped.
     """
     with _open_source(source) as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")  # a spreadsheet export's byte-order mark
     reader = csv.reader(m.group() for m in _LINE.finditer(text))
     try:
         header = next(reader)
@@ -165,20 +166,12 @@ def parse_votes(source) -> tuple[np.ndarray, list]:
     return matrix, item_names
 
 
-def write_votes(
-    target,
-    matrix: np.ndarray,
-    item_names: Sequence,
-    voter_ids: Optional[Sequence] = None,
-) -> None:
-    """Write a votes CSV in the format :func:`parse_votes` reads back."""
+def write_votes(target, matrix: np.ndarray, item_names: Sequence) -> None:
+    """Write a votes CSV in the format :func:`parse_votes` reads back, voters
+    named ``v0``, ``v1``, ... in row order."""
     M = np.ascontiguousarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[1] != len(item_names):
         raise BallotError("matrix shape does not match item names")
-    if voter_ids is None:
-        voter_ids = [f"v{i}" for i in range(M.shape[0])]
-    if len(voter_ids) != M.shape[0]:
-        raise BallotError("voter_ids length does not match matrix rows")
     with _open_source(target, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["voter_id", *item_names])
@@ -187,7 +180,7 @@ def write_votes(
             bits, cell = np.unique(M[lo:lo + 1024].view(np.uint64), return_inverse=True)
             text = np.array([f"{v:.10g}" for v in bits.view(float).tolist()], dtype=object)
             rows = text[cell.reshape(-1, M.shape[1])].tolist()
-            writer.writerows([vid, *row] for vid, row in zip(voter_ids[lo:lo + 1024], rows))
+            writer.writerows([f"v{i}", *row] for i, row in enumerate(rows, start=lo))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +196,7 @@ def _redraw_empty(votes: np.ndarray, rng: np.random.Generator, p) -> np.ndarray:
     return votes
 
 
-def _disjoint_groups(n, k, seed, rng, params):
+def _disjoint_groups(n, k, rng, params):
     if k is None or k < 1:
         raise BallotError("disjoint-groups needs k >= 1")
     u = np.zeros((n, k))
@@ -211,7 +204,7 @@ def _disjoint_groups(n, k, seed, rng, params):
     return u, None
 
 
-def _independent_bernoulli(n, k, seed, rng, params):
+def _independent_bernoulli(n, k, rng, params):
     if k is None or k < 1:
         raise BallotError("independent-bernoulli needs k >= 1")
     p = float(params.pop("p", 0.5))
@@ -221,7 +214,7 @@ def _independent_bernoulli(n, k, seed, rng, params):
     return _redraw_empty(votes, rng, p).astype(float), None
 
 
-def _block_correlated(n, k, seed, rng, params):
+def _block_correlated(n, k, rng, params):
     """Two latent voter coins, one per item block: perfect within-block
     correlation, exact cross-block independence.
 
@@ -246,7 +239,7 @@ def _block_correlated(n, k, seed, rng, params):
     return u, None
 
 
-def _k_approval(n, k, seed, rng, params):
+def _k_approval(n, k, rng, params):
     """Each voter approves a uniform random subset of fixed size; item sizes
     are drawn once per instance as a fraction of the budget."""
     if k is None or k < 1:
@@ -263,17 +256,13 @@ def _k_approval(n, k, seed, rng, params):
     return u, sizes
 
 
-def _fixed_k(expected):
-    def check(k):
-        if k is not None and k != expected:
-            raise BallotError(f"profile fixes k = {expected}, got {k}")
-        return expected
-
-    return check
+def _fixed_k(k, expected) -> None:
+    if k is not None and k != expected:
+        raise BallotError(f"profile fixes k = {expected}, got {k}")
 
 
-def _figure1a(n, k, seed, rng, params):
-    k = _fixed_k(2)(k)
+def _figure1a(n, k, rng, params):
+    _fixed_k(k, 2)
     if n < 3:
         raise BallotError("majority/minority split needs n >= 3")
     m = math.ceil(n / 2) + 1
@@ -282,8 +271,8 @@ def _figure1a(n, k, seed, rng, params):
     return u, None
 
 
-def _figure1b(n, k, seed, rng, params):
-    k = _fixed_k(3)(k)
+def _figure1b(n, k, rng, params):
+    _fixed_k(k, 3)
     if n < 2:
         raise BallotError("shared-item split needs n >= 2")
     m = math.ceil(n / 2)
@@ -292,8 +281,8 @@ def _figure1b(n, k, seed, rng, params):
     return u, None
 
 
-def _figure1c(n, k, seed, rng, params):
-    k = _fixed_k(2)(k)
+def _figure1c(n, k, rng, params):
+    _fixed_k(k, 2)
     if n < 2:
         raise BallotError("n-1 vs 1 split needs n >= 2")
     u = np.tile([1.0, 0.0], (n, 1))
@@ -301,8 +290,8 @@ def _figure1c(n, k, seed, rng, params):
     return u, None
 
 
-def _figure2a(n, k, seed, rng, params):
-    k = _fixed_k(2)(k)
+def _figure2a(n, k, rng, params):
+    _fixed_k(k, 2)
     if n < 2:
         raise BallotError("free-rider setup needs n >= 2")
     u = np.tile([1.0, 0.0], (n, 1))
@@ -310,8 +299,8 @@ def _figure2a(n, k, seed, rng, params):
     return u, None
 
 
-def _figure2b(n, k, seed, rng, params):
-    k = _fixed_k(2)(k)
+def _figure2b(n, k, rng, params):
+    _fixed_k(k, 2)
     if n < 3:
         raise BallotError("two-manipulator setup needs n >= 3")
     u = np.tile([0.5, 0.5], (n, 1))
@@ -355,7 +344,7 @@ def gen_synthetic(
     reject_bools(BallotError, **params)  # float(True) would read as 1
     rng = np.random.default_rng(seed)
     params = dict(params)
-    u, size_fracs = PROFILES[profile](n, k, seed, rng, params)
+    u, size_fracs = PROFILES[profile](n, k, rng, params)
     if params:
         raise BallotError(
             f"unused parameters for profile {profile!r}: {sorted(params)}"

@@ -481,7 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocation", help="JSON file with the spend vector")
     p.add_argument("--grid", type=int, default=100, help="deviation search grid steps")
     p.add_argument("--mode", choices=["additive", "multiplicative"], default="additive")
-    p.add_argument("--threshold", type=float, default=1e-3, help="blocking margin")
+    p.add_argument("--threshold", type=float, default=1e-3,
+                   help="blocking margin t: every member gains more than t (additive) "
+                   "or has a utility ratio above 1 + t (multiplicative)")
 
     common(sub.add_parser("mechanism", help="randomized approximately-truthful draw"))
     common(sub.add_parser("compare", help="Core vs Welfare rankings and similarity"))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .lindahl import DegenerateAgentError, condition_violation, lindahl_residuals
-from .model import Allocation, Instance, Saturating, UtilityModel, allocation_vector
+from .model import Allocation, Instance, UtilityModel, allocation_vector
 
 __all__ = [
     "CoreCertificate",
@@ -76,8 +76,8 @@ class Deviation:
     """A blocking move: ``coalition`` pools (|S|/n - slack) B and buys ``y``.
 
     ``min_gain`` is the worst member's improvement — additive difference or
-    multiplicative ratio depending on the oracle mode; positive (resp. above
-    the ratio threshold) for a valid refutation.
+    multiplicative ratio depending on the oracle mode; above the threshold
+    (resp. 1 + threshold) for a valid refutation.
     """
 
     coalition: tuple
@@ -166,10 +166,11 @@ def find_deviation_continuous(
     coalition budget (s/n - budget_slack) * B; a coalition of size s blocks a
     candidate y exactly when the s-th largest gain at y clears the threshold
     (so the best coalition for any y is the top-s gainers — this is equivalent
-    to enumerating all 2^n coalitions).  Gains are additive differences
-    (``mode="additive"``, deviation when gain > threshold) or ratios
-    (``mode="multiplicative"``, deviation when ratio > threshold).  Returns the
-    deviation with maximal worst-member gain, or None.
+    to enumerating all 2^n coalitions).  ``threshold`` is the blocking margin t
+    in both modes: gains are additive differences (``mode="additive"``,
+    deviation when gain > t) or ratios (``mode="multiplicative"``, deviation
+    when ratio > 1 + t).  Returns the deviation with maximal worst-member
+    gain, or None.
 
     For degree-1 homogeneous families U_i(b p) = b U_i(p), so voter i clears
     the threshold at grid direction p iff b exceeds a crossing budget c_pi
@@ -186,6 +187,7 @@ def find_deviation_continuous(
     # NaN or +inf would read as "no deviation"; -inf asks for the best deviation at any gain.
     if not (threshold < np.inf and np.isfinite(budget_slack)):
         raise ValueError(f"threshold {threshold!r} or budget_slack {budget_slack!r} out of range")
+    bar = threshold if mode == "additive" else 1.0 + threshold  # what a gain must exceed
     n, k, B = inst.n, inst.k, inst.budget
     if k > _MAX_K_CONTINUOUS or n > _MAX_N_CONTINUOUS:
         raise InstanceTooLarge(
@@ -203,8 +205,8 @@ def find_deviation_continuous(
         # Voter i clears at b * p iff b * U_i(p) > need_i, i.e. iff b exceeds
         # c = need / U(p), less slack (+inf where U_i(p) = 0 and need_i >= 0).
         with np.errstate(divide="ignore", invalid="ignore"):
-            need = threshold + Ux if mode == "additive" else np.where(Ux > 0, threshold * Ux, 0.0)
-            slack = _PRUNE_RTOL * (abs(threshold) * (1 + Ux) + Ux)
+            need = bar + Ux if mode == "additive" else np.where(Ux > 0, bar * Ux, 0.0)
+            slack = _PRUNE_RTOL * (abs(bar) * (1 + Ux) + Ux)
             c = (need - slack) / model.utilities_batch(unit)
         crossing = np.sort(np.where(np.isnan(c), np.inf, c), axis=1)
     best: Optional[Deviation] = None
@@ -232,7 +234,7 @@ def find_deviation_continuous(
         # s-th largest gain per candidate spend profile.
         kth = np.partition(gains, n - s, axis=1)[:, n - s]
         idx = int(np.argmax(kth))
-        if kth[idx] > threshold and kth[idx] > best_gain:
+        if kth[idx] > bar and kth[idx] > best_gain:
             row = gains[idx]
             members = np.argsort(-row, kind="stable")[:s]
             best_gain = float(kth[idx])
@@ -271,7 +273,7 @@ def find_deviation_integral(
     for j in range(k):
         Ut[1 << j : 2 << j] = Ut[: 1 << j] + inst.utilities[:, j]
         cost[1 << j : 2 << j] = cost[: 1 << j] + sizes[j]
-    fx = Saturating(inst.utilities, sizes).f(allocation_vector(x))
+    fx = np.minimum(allocation_vector(x) / sizes, 1.0)
     Ux = sum(fx[j] * inst.utilities[:, j] for j in range(k))
     improves = Ut > (1.0 + epsilon_mult) * Ux
     count = improves.sum(axis=1)

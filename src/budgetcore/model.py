@@ -246,30 +246,6 @@ class _ScalarSeparable(UtilityModel):
         return self.u @ self.zvec(allocation_vector(x))
 
 
-class Linear(_ScalarSeparable):
-    """f_j(x) = x: utilities are just vote-weighted spend."""
-
-    homogeneous = True
-
-    def f(self, x):
-        return np.asarray(x, dtype=float)
-
-    def fprime(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def zvec(self, x):
-        return np.asarray(x, dtype=float)
-
-    # z = x, so the inverse and R(z) = int_0^z 1 are the identity as well.
-    x_of_z = integral = zvec
-
-    def ratio(self, z):
-        return np.ones_like(np.asarray(z, dtype=float))
-
-    def ratio_prime(self, z):
-        return np.zeros_like(np.asarray(z, dtype=float))
-
-
 class PowerSum(_ScalarSeparable):
     """f_j(x) = x^{a_j} with a_j in (0, 1]; concave diminishing returns per item."""
 
@@ -314,7 +290,16 @@ class PowerSum(_ScalarSeparable):
         coef = a ** (-1.0 / a) * (1.0 / a - 1.0)
         with np.errstate(divide="ignore"):
             pow_term = np.asarray(z, dtype=float) ** (1.0 / a - 2.0)
-        return np.where(coef == 0.0, 0.0, coef * pow_term)
+        # At a = 1, coef is 0 and z^{-1} is inf at z = 0: np.where drops 0 * inf's NaN.
+        with np.errstate(invalid="ignore"):
+            return np.where(coef == 0.0, 0.0, coef * pow_term)
+
+
+class Linear(PowerSum):
+    """f_j(x) = x: utilities are just vote-weighted spend, the power sum at exponent 1."""
+
+    def __init__(self, utilities: np.ndarray):
+        super().__init__(utilities, 1.0)
 
 
 class CobbDouglas(UtilityModel):

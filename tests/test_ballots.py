@@ -20,9 +20,7 @@ class TestRoundTrip:
     def test_path_round_trip(self, tmp_path):
         M = np.array([[1.0, 0.0, 2.5], [0.0, 1 / 3, 0.0]])
         path = tmp_path / "votes.csv"
-        write_votes(path, M, ["parks", "roads", "wifi"], ["alice", "bob"])
-        written = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert [line.split(",")[0] for line in written] == ["alice", "bob"]
+        write_votes(path, M, ["parks", "roads", "wifi"])
         out, names = parse_votes(path)
         assert np.allclose(out, M, rtol=1e-9, atol=0)  # 10 significant digits
         assert names == ["parks", "roads", "wifi"]
@@ -45,22 +43,32 @@ class TestRoundTrip:
         pool = np.array([0.0, -0.0, 1.0, 1 / 3, 2.5, 1e-300, 123456789012.0])
         M = np.where(rng.random((5000, 3)) < 0.5, rng.choice(pool, (5000, 3)),
                      rng.uniform(0, 10, (5000, 3)))
-        ids = [f"id,{i}" for i in range(len(M))]
+        ids = [f"v{i}" for i in range(len(M))]
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["voter_id", "a", "b", "c"])
         for vid, row in zip(ids, M):
             writer.writerow([vid, *(f"{v:.10g}" for v in row)])
         got = io.StringIO()
-        write_votes(got, np.asfortranarray(M), ["a", "b", "c"], ids)
+        write_votes(got, np.asfortranarray(M), ["a", "b", "c"])
         assert got.getvalue() == want.getvalue()
         assert (np.signbit(M) & (M == 0)).any() and "-0" in got.getvalue()
 
     def test_write_validation(self):
         with pytest.raises(BallotError, match="matrix shape"):
             write_votes(io.StringIO(), np.ones((2, 3)), ["a", "b"])
-        with pytest.raises(BallotError, match="voter_ids length"):
-            write_votes(io.StringIO(), np.ones((2, 2)), ["a", "b"], ["only-one"])
+
+    @pytest.mark.parametrize("body", ["v0,1,0\r\nv1,0,1\r\n", "v0,0.5,0\r\nv1,0,2.5\r\n"],
+                             ids=["digits", "floats"])
+    def test_byte_order_mark_dropped(self, tmp_path, body):
+        # Spreadsheet "CSV UTF-8" exports start with U+FEFF; both readers see the text after it.
+        text = "voter_id,a,b\r\n" + body
+        want = parse_votes(io.StringIO(text))
+        path = tmp_path / "votes.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8", newline="")
+        for source in (path, io.StringIO("\ufeff" + text, newline="")):
+            got = parse_votes(source)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] == ["a", "b"]
 
     def test_blank_lines_ignored(self):
         text = "voter_id,a,b\nv0,1,0\n\nv1,0,1\n   \n"

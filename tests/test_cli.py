@@ -367,6 +367,29 @@ class TestCheckCore:
         assert rc == 0
         assert rep["result"]["deviation"] is not None
 
+    def test_multiplicative_threshold_is_a_margin(self, capsys, tmp_path):
+        # The default --threshold 1e-3 asks every member's ratio to exceed 1.001.
+        # Read as the ratio itself, it let a coalition whose members all lose
+        # block the solver's core allocation.
+        rc, rep = run(capsys, "gen", "--profile", "independent-bernoulli", "--n", "100",
+                      "--k", "3", "--seed", "4", "--out", str(tmp_path / "gen"))
+        votes = rep["artifacts"]["votes_csv"]
+        rc, rep = run(capsys, "solve", "--votes", votes, "--out", str(tmp_path / "solve"))
+        assert rc == 0
+        alloc = self.write_alloc(tmp_path, rep["result"]["allocation"]["x"])
+        rc, rep = run(capsys, "check-core", "--votes", votes, "--allocation", alloc,
+                      "--mode", "multiplicative", "--out", str(tmp_path / "chk"))
+        assert rc == 0
+        assert rep["result"]["deviation"] is None
+        # The minority values nothing that the majority-only spend buys.
+        votes = self.setup_majority(capsys, tmp_path)
+        alloc = self.write_alloc(tmp_path, [1.0, 0.0])
+        rc, rep = run(capsys, "check-core", "--votes", votes, "--allocation", alloc,
+                      "--mode", "multiplicative", "--out", str(tmp_path / "chk"))
+        assert rc == 0
+        dev = rep["result"]["deviation"]
+        assert dev["coalition"] == [4] and dev["min_gain"] == "inf"
+
     def test_requires_allocation_flag(self, capsys, tmp_path):
         votes = self.setup_majority(capsys, tmp_path)
         rc, err = run(capsys, "check-core", "--votes", votes,

@@ -38,6 +38,7 @@ from budgetcore.model import (
 def reference_continuous(inst, model, x, grid_steps, mode, threshold, budget_slack):
     """Every grid point for every coalition size: the unpruned scan."""
     n, B = inst.n, inst.budget
+    bar = threshold if mode == "additive" else 1.0 + threshold
     Ux = model.utilities_all(np.asarray(x, dtype=float))
     unit = budget_grid(inst.k, grid_steps)
     best, best_gain = None, -np.inf
@@ -54,7 +55,7 @@ def reference_continuous(inst, model, x, grid_steps, mode, threshold, budget_sla
                                  np.where(Uy > 0, np.inf, -np.inf))
         kth = np.partition(gains, n - s, axis=1)[:, n - s]
         idx = int(np.argmax(kth))
-        if kth[idx] > threshold and kth[idx] > best_gain:
+        if kth[idx] > bar and kth[idx] > best_gain:
             members = np.argsort(-gains[idx], kind="stable")[:s]
             best_gain = float(kth[idx])
             best = (tuple(sorted(int(i) for i in members)), unit[idx] * b, best_gain)
@@ -205,7 +206,7 @@ class TestContinuousOracle:
         inst = minority_instance(n=5)
         model = Linear(inst.utilities)
         dev = find_deviation_continuous(
-            inst, model, np.array([0.0, 1.0]), mode="multiplicative", threshold=1.05
+            inst, model, np.array([0.0, 1.0]), mode="multiplicative", threshold=0.05
         )
         assert dev is not None and dev.min_gain == np.inf
         with pytest.raises(ValueError, match="mode"):
@@ -303,7 +304,7 @@ class TestContinuousOracle:
                 x[rng.integers(k)] = 0.0  # zero spends, zero utilities
             mode = ("additive", "multiplicative")[trial % 2]
             thresholds = ([-np.inf, -0.1, 0.0, 1e-3, 0.05] if mode == "additive"
-                          else [-np.inf, 0.5, 1.0, 1.001, 1.2])
+                          else [-np.inf, -0.5, 0.0, 1e-3, 0.2])
             kw = dict(grid_steps=int(rng.integers(2, 30)), mode=mode,
                       threshold=float(rng.choice(thresholds)),
                       budget_slack=float(rng.choice([0.0, 0.0, 0.1])))
@@ -329,7 +330,7 @@ class TestContinuousOracle:
         u = np.array([[1.0 - 3e-7, 3e-7], [1.0, 0.0]])
         inst = Instance(utilities=u, budget=2e-8)
         model, x = CobbDouglas(u), np.array([5e-9, 0.0])
-        kw = dict(grid_steps=50, mode="multiplicative", threshold=2.0 * (1 - 1e-6),
+        kw = dict(grid_steps=50, mode="multiplicative", threshold=1 - 2e-6,
                   budget_slack=0.5)
         want = reference_continuous(inst, model, x, **kw)
         got = find_deviation_continuous(inst, model, x, **kw)

@@ -1,5 +1,6 @@
 """Every name a budgetcore module imports is used there or listed in its
 ``__all__``, every ``__all__`` entry names an attribute, no base-class method is shadowed in every concrete subclass,
+no module or class body binds a second name to one of its functions,
 every defaulted parameter of a private function is passed somewhere,
 every config field rejects a bool, importing the CLI leaves scipy unloaded,
 and ``analyze`` loads no ``scipy.stats``."""
@@ -83,6 +84,26 @@ def unreachable_base_methods() -> list:
 
 def test_no_unreachable_base_methods():
     assert unreachable_base_methods() == []
+
+
+def alias_functions() -> list:
+    """Names that a module or class body binds to a function defined in that
+    same body (``g = f``): a second name for one piece of code."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, tree)] + [(f"{path.stem}.{node.name}", node)
+                                        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for name, scope in scopes:
+            defined = {node.name for node in scope.body if isinstance(node, ast.FunctionDef)}
+            found += [f"{name}.{target.id}" for node in scope.body
+                      if isinstance(node, ast.Assign) and getattr(node.value, "id", None) in defined
+                      for target in node.targets if isinstance(target, ast.Name)]
+    return sorted(found)
+
+
+def test_no_alias_functions():
+    assert alias_functions() == []
 
 
 def unpassed_private_defaults() -> list:
