@@ -275,6 +275,15 @@ def _cmd_solve(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> 
     }
 
 
+def _heuristic_work(result) -> dict:
+    return {
+        "converged": result.converged,
+        "sweeps": len(result.max_violation_trace),
+        # The returned iterate is the best sweep's, also when not converged.
+        "max_violation": min((float(v) for _, v in result.max_violation_trace), default=None),
+    }
+
+
 def _cmd_solve_sat(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     inst.require_sizes()
     heur_cfg = HeuristicConfig(**cfg.heuristic)
@@ -284,11 +293,8 @@ def _cmd_solve_sat(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict)
         "allocation": result.x,
         "item_names": list(inst.item_names),
         "prices_y": result.y,
-        "converged": result.converged,
-        "sweeps": len(result.max_violation_trace),
         "budget_flagged": result.budget_flagged,
-        # The returned iterate is the best sweep's, also when not converged.
-        "max_violation": min((float(v) for _, v in result.max_violation_trace), default=None),
+        **_heuristic_work(result),
     }
 
 
@@ -311,7 +317,9 @@ def _cmd_check_core(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict
         raise CliError("check-core needs --allocation PATH (JSON spend vector)")
     x = _read_allocation(args.allocation, inst.k)
     model = make_model(inst, cfg.model_family, **cfg.model_params)
-    report["input"]["allocation"] = str(args.allocation)
+    # The search settings, so that a null deviation says what was searched.
+    report["input"].update(allocation=str(args.allocation), grid=args.grid, mode=args.mode,
+                           threshold=args.threshold)
     result = {"allocation": x, "certificate": _certificate(certify_from_residual(inst, model, x))}
     try:
         result["deviation"] = find_deviation_continuous(
@@ -363,7 +371,7 @@ def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -
             "order": core.order,
             "fractional": core.fractional,
             "integral": core.integral,
-            "converged": core_solution.converged,
+            **_heuristic_work(core_solution),
         },
         "welfare": {
             "order": welfare.order,

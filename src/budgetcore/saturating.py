@@ -22,8 +22,8 @@ convex-program route does not apply directly.  Two workarounds:
   is unusable) on a bracket around the root, first in x_j at y_j = 1/s_j, then
   in y_j at x_j = s_j if the spend saturates.  Convergence, judged on the
   ballots as given, is not guaranteed and is reported honestly.  A sweep costs
-  one n x k product (every lhs_j) plus O(n) per root evaluation on the item's
-  supporters: the voters' denominators are carried and updated for item j.
+  one n x k product (every lhs_j) plus work on the re-solved item's supporters
+  alone: their denominators are carried, and updated in place for item j.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ def _gaps(w: np.ndarray, x: float, y: float, scale: float) -> Tuple[float, float
     is decreasing and convex in its variable: 1/lhs_j is a harmonic mean of affine functions
     of x_j (linear for one voter), and lhs_j is increasing and concave in y_j.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = 1.0 / (w + x * y)  # +inf at x = 0 for a voter with rest 0
-        s1, s2 = float(t.sum()), float(t @ t)
+    t = 1.0 / (w + x * y)  # +inf at x = 0 for a voter with rest 0; callers silence it
+    s1, s2 = float(t.sum()), float(t @ t)
     lhs = scale * y * s1
     if lhs == 0.0:
         return -math.inf, math.nan, 1.0, math.nan
@@ -131,32 +130,33 @@ def _decreasing_root(h, lo: float, hi: float, at_lo: Tuple[float, float],
     return 0.5 * (lo + hi)
 
 
-def _resolve_item(u_col: np.ndarray, s_j: float, rest: np.ndarray, scale: float,
+def _resolve_item(u_on: np.ndarray, s_j: float, rest_on: np.ndarray, scale: float,
                   tol: float) -> Tuple[float, float]:
-    """Restore item j's condition given everybody else's contributions ``rest``.
+    """Restore item j's condition given its supporters' utilities ``u_on`` > 0
+    and everybody else's contributions to their denominators, ``rest_on``.
 
     Returns (x_j, y_j).  A saturated item whose condition the y bracket cannot
     reach keeps (s_j, 1/s_j).
     """
-    on = u_col > 0
-    w = rest[on] / u_col[on]
-    slope = 1.0 / s_j
-    at_zero = _gaps(w, 0.0, slope, scale)[:2]
-    if at_zero[0] <= 0.0:
-        # Equality would need negative spend; the inequality holds at zero.
-        return 0.0, slope
-    if _gaps(w, s_j, slope, scale)[0] < 0.0:
-        xj = _decreasing_root(lambda x: _gaps(w, x, slope, scale)[:2],
-                              0.0, s_j, at_zero, tol * max(s_j, 1.0))
-        return xj, slope
-    # Saturates: clamp the spend and search the subgradient instead.
-    lo = _Y_BRACKET_FLOOR * slope
-    at_lo = _gaps(w, s_j, lo, scale)[2:]
-    if at_lo[0] <= 0.0:
-        return s_j, slope
-    yj = _decreasing_root(lambda y: _gaps(w, s_j, y, scale)[2:],
-                          lo, slope, at_lo, tol * slope)
-    return s_j, yj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = rest_on / u_on
+        slope = 1.0 / s_j
+        at_zero = _gaps(w, 0.0, slope, scale)[:2]
+        if at_zero[0] <= 0.0:
+            # Equality would need negative spend; the inequality holds at zero.
+            return 0.0, slope
+        if _gaps(w, s_j, slope, scale)[0] < 0.0:
+            xj = _decreasing_root(lambda x: _gaps(w, x, slope, scale)[:2],
+                                  0.0, s_j, at_zero, tol * max(s_j, 1.0))
+            return xj, slope
+        # Saturates: clamp the spend and search the subgradient instead.
+        lo = _Y_BRACKET_FLOOR * slope
+        at_lo = _gaps(w, s_j, lo, scale)[2:]
+        if at_lo[0] <= 0.0:
+            return s_j, slope
+        yj = _decreasing_root(lambda y: _gaps(w, s_j, y, scale)[2:],
+                              lo, slope, at_lo, tol * slope)
+        return s_j, yj
 
 
 def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> HeuristicResult:
@@ -186,13 +186,18 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
 
     u = np.asfortranarray(inst.utilities)  # columns u[:, j] are contiguous
     scale = B / n
+    # Each item's supporters (u_ij > 0): the only voters that moving it touches.
+    valued = u > 0
+    support = [np.flatnonzero(valued[:, j]) for j in range(k)]
+    u_support = [u[on, j] for j, on in enumerate(support)]
 
     x = np.minimum(sizes, B / k)
     y = 1.0 / sizes
     # A saturated item is pinned when (B/n) solo_j >= s_j, the y_j -> 0 limit
     # of lhs_j: solo_j counts the voters who value j and no other funded item.
-    funded = np.count_nonzero(u[:, x > 0] > 0, axis=1)
-    pinnable = scale * np.count_nonzero(u[funded == 1] > 0, axis=0) >= sizes
+    funded = np.count_nonzero(valued[:, x > 0], axis=1)
+    solo = [np.count_nonzero(funded[ids] == 1) for ids in support]
+    pinnable = scale * np.array(solo) >= sizes
     trace = []
     best = (np.inf, x.copy(), y.copy())
     converged = False
@@ -217,15 +222,17 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
             converged = True
             break
         j = int(np.argmax(viol))
-        rest = denom - u[:, j] * contrib[j]
-        xj, yj = _resolve_item(u[:, j], float(sizes[j]), rest, scale, _ROOT_TOL)
+        on, u_on = support[j], u_support[j]
+        rest = denom[on] - u_on * contrib[j]
+        xj, yj = _resolve_item(u_on, float(sizes[j]), rest, scale, _ROOT_TOL)
         if xj == x[j] and yj == y[j]:
             break  # the worst item cannot move, so every later sweep repeats this one
         if (xj > 0.0) != (x[j] > 0.0):
-            funded += np.where(u[:, j] > 0, 1 if xj > 0.0 else -1, 0)
-            pinnable = scale * np.count_nonzero(u[funded == 1] > 0, axis=0) >= sizes
+            funded[on] += 1 if xj > 0.0 else -1
+            solo = [np.count_nonzero(funded[ids] == 1) for ids in support]
+            pinnable = scale * np.array(solo) >= sizes
         x[j], y[j], contrib[j] = xj, yj, xj * yj
-        denom = rest + u[:, j] * contrib[j]
+        denom[on] = rest + u_on * contrib[j]
 
     if not converged:
         _, x, y = best

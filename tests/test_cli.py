@@ -390,6 +390,28 @@ class TestCheckCore:
         dev = rep["result"]["deviation"]
         assert dev["coalition"] == [4] and dev["min_gain"] == "inf"
 
+    def test_input_records_search_settings(self, capsys, tmp_path):
+        # A null deviation means "none found at these settings": the report
+        # names them, and a rerun reproduces it outside timing.
+        votes = self.setup_majority(capsys, tmp_path)
+        alloc = self.write_alloc(tmp_path, [0.8, 0.2])
+        argv = ["check-core", "--votes", votes, "--allocation", alloc,
+                "--out", str(tmp_path / "chk")]
+        inputs, texts = [], []
+        for extra in ([], [], ["--grid", "10"], ["--threshold=-inf"],
+                      ["--mode", "multiplicative"]):
+            assert main([*argv, *extra]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            del rep["timing"]
+            inputs.append(rep["input"])
+            texts.append(json.dumps(rep, sort_keys=True))
+        assert texts[0] == texts[1]
+        assert {k: inputs[0][k] for k in ("allocation", "grid", "mode", "threshold")} == {
+            "allocation": alloc, "grid": 100, "mode": "additive", "threshold": 1e-3}
+        assert inputs[2]["grid"] == 10 and inputs[3]["threshold"] == "-inf"
+        assert inputs[4]["mode"] == "multiplicative"
+        assert all(inputs[i] != inputs[0] for i in (2, 3, 4))
+
     def test_requires_allocation_flag(self, capsys, tmp_path):
         votes = self.setup_majority(capsys, tmp_path)
         rc, err = run(capsys, "check-core", "--votes", votes,
@@ -475,6 +497,19 @@ class TestCompare:
         assert core_fills == sorted(core_fills, reverse=True)
         assert len(rep["result"]["core"]["order"]) == 8
         assert rep["result"]["welfare"]["integral"]["kind"] == "integral"
+
+    def test_core_reports_heuristic_work_as_solve_sat_does(self, capsys, tmp_path):
+        votes, config = gen_k_approval(capsys, tmp_path)
+        reports = {}
+        for command in ("compare", "solve-sat"):
+            rc, rep = run(capsys, command, "--votes", votes, "--config", config,
+                          "--out", str(tmp_path / command))
+            assert rc == 0
+            reports[command] = rep["result"]
+        core, sat = reports["compare"]["core"], reports["solve-sat"]
+        assert sat["sweeps"] >= 1 and sat["max_violation"] <= 1 / 40
+        for field in ("converged", "sweeps", "max_violation"):
+            assert core[field] == sat[field]
 
 
 class TestAnalyze:

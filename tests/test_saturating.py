@@ -242,7 +242,8 @@ class TestItemResolve:
             s_j = float(rng.choice([0.05, 1.0, 40.0]) * rng.uniform(0.5, 2.0))
             scale = float(np.exp(rng.uniform(-4, 3)))
             want = reference_resolve(u, s_j, rest, scale, tol)
-            got = saturating._resolve_item(u, s_j, rest, scale, tol)
+            # The sweep passes only the supporters, u_ij > 0.
+            got = saturating._resolve_item(u[u > 0], s_j, rest[u > 0], scale, tol)
             assert branch(*got, s_j) == branch(*want, s_j)
             assert abs(got[0] - want[0]) <= tol * max(s_j, 1.0)
             assert abs(got[1] - want[1]) <= tol / s_j
@@ -347,16 +348,38 @@ def reference_heuristic(inst, cfg):
     return x, trace, converged
 
 
+def float_ballots(n, k, seed):
+    """Exponential utilities with about half the cells zero, budget binding."""
+    rng = np.random.default_rng(seed)
+    u = rng.exponential(size=(n, k)) * (rng.random((n, k)) < 0.5)
+    u[~(u > 0).any(axis=1), 0] = 1.0  # every voter values something
+    return Instance(utilities=u, budget=1.0, sizes=rng.uniform(0.08, 0.4, k))
+
+
+def few_item_ballots(seed):
+    """Approval ballots on 2-6 items with uneven popularity: many voters back
+    a single item, so unfunding one item changes which others are pinned."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(5, 60)), int(rng.integers(2, 7))
+    u = (rng.random((n, k)) < rng.uniform(0.1, 0.5, k)).astype(float)
+    u[~(u > 0).any(axis=1), 0] = 1.0  # every voter values something
+    sizes = rng.uniform(0.1, 0.7, k)
+    return Instance(utilities=u, budget=min(1.0, 0.9 * sizes.sum()), sizes=sizes)
+
+
 class TestReferenceSweep:
+    @staticmethod
+    def assert_matches_reference(inst):
+        got = heuristic_solve(inst)
+        x, trace, converged = reference_heuristic(inst, HeuristicConfig())
+        assert len(got.max_violation_trace) == len(trace)
+        assert got.converged == converged
+        assert np.abs(got.x.x - x).max() <= 1e-9 * inst.budget
+
     @pytest.mark.parametrize("n", [200, 2000])
     def test_matches_from_scratch_reference(self, n):
         for seed in range(5):
-            inst = gen_synthetic("k-approval", n=n, k=10, seed=seed)
-            got = heuristic_solve(inst)
-            x, trace, converged = reference_heuristic(inst, HeuristicConfig())
-            assert len(got.max_violation_trace) == len(trace)
-            assert got.converged == converged
-            assert np.abs(got.x.x - x).max() <= 1e-9 * inst.budget
+            self.assert_matches_reference(gen_synthetic("k-approval", n=n, k=10, seed=seed))
 
     def test_kept_denominators_do_not_drift(self):
         # 2000 unconverged sweeps each update the denominators in place; the
@@ -367,3 +390,27 @@ class TestReferenceSweep:
         assert not result.converged and len(result.max_violation_trace) == 2000
         reported = min(v for _, v in result.max_violation_trace)
         assert abs(ballot_violation(inst, result) - reported) <= 1e-12
+
+    def test_benchmark_shaped_instance(self):
+        # k=30 items, 4 approvals a voter: each item has about n/7.5 supporters.
+        for seed in range(2):
+            self.assert_matches_reference(gen_synthetic("k-approval", n=3000, k=30, seed=seed))
+
+    def test_float_ballots(self):
+        for seed in range(5):
+            self.assert_matches_reference(float_ballots(400, 12, seed))
+
+    def test_few_item_ballots(self):
+        for seed in range(100):
+            self.assert_matches_reference(few_item_ballots(seed))
+
+    def test_unvalued_item_and_universal_voter(self):
+        # Nobody values item 0 while voter 0 values every other item; then
+        # voter 0 values every item, the only supporter of item 0.
+        for seed in range(3):
+            inst = gen_synthetic("k-approval", n=300, k=8, seed=seed)
+            u = inst.utilities.copy()
+            u[:, 0], u[0] = 0.0, np.r_[0.0, np.linspace(0.5, 2.0, 7)]
+            self.assert_matches_reference(Instance(utilities=u, budget=1.0, sizes=inst.sizes))
+            u[0, 0] = 1.0
+            self.assert_matches_reference(Instance(utilities=u, budget=1.0, sizes=inst.sizes))
