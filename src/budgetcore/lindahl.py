@@ -2,12 +2,14 @@
 
 The fair (core) allocation is characterized item-by-item: for every item j,
 
-    (B/n) * sum_i [ u_ij f_j'(x_j) / sum_m u_im x_m f_m'(x_m) ]  <=  1,
+    (B/n) * f_j'(x_j) * sum_i [ u_ij / (u_i . z(x)) ]  <=  1,   z_m = x_m f_m'(x_m),
 
 with equality whenever x_j > 0.  ``lindahl_residuals`` reports the signed gap
-of that condition per item; the solvers drive it to zero.  ``condition_violation``
-holds the one funded rule, in spend space (x_j > 10 * 1e-12 * B, a decade above
-the solvers' spend floor), for every solver and the core certificate alike.
+of that condition per item from the model's item vectors f'(x) and z(x), with
+no voter-by-item gradient matrix; the solvers drive it to zero.
+``condition_violation`` holds the one funded rule, in spend space (x_j > 10 *
+1e-12 * B, a decade above the solvers' spend floor), for every solver and the
+core certificate alike.
 
 ``solve_potential`` is the one equilibrium entry point.  Cobb-Douglas
 equilibria have the closed form x_j = (B/n) sum_i a_ij; every other
@@ -21,7 +23,7 @@ R_j are the model's own maps (see ``budgetcore.model``).  For linear
 utilities z = x and Phi is the proportional-fairness objective.  Smoothed
 saturating models are solved the same way; their approximation factor is
 ``budgetcore.saturating.smoothing_alpha``.  ``recover_prices`` turns a
-solution into the matrix of supporting per-voter prices.
+solution into the matrix of supporting per-voter prices, from the same vectors.
 
 The randomized mechanism's fairness point over its floored simplex is also
 found by ``solve_potential``: shifting every linear utility by floor/slack
@@ -45,6 +47,7 @@ from .model import (
     Instance,
     ModelError,
     UtilityModel,
+    _weighted_slopes,
     allocation_vector,
     reject_bools,
 )
@@ -113,13 +116,13 @@ class LindahlResult:
     objective_trace: list = field(default_factory=list)
 
 
-def _grads_per_spend(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
-    """grad_ij / (sum_m x_m grad_im), the matrix behind residuals and prices."""
-    denom = model.marginal_spend_all(xv)
+def _spend_weights(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
+    """1 / (u_i . z(x)) per voter, the weights behind residuals and prices."""
+    denom = model.u @ model.zvec(xv)
     bad = ~(denom > 0) | ~np.isfinite(denom)
     if np.any(bad):
         raise DegenerateAgentError(int(np.flatnonzero(bad)[0]))
-    return model.gradients_all(xv) / denom[:, None]
+    return 1.0 / denom
 
 
 def _funded(x, budget: float) -> np.ndarray:
@@ -135,23 +138,25 @@ def condition_violation(res: np.ndarray, x, budget: float) -> float:
 def lindahl_residuals(inst: Instance, model: UtilityModel, x) -> np.ndarray:
     """Signed per-item gap of the equilibrium condition, scaled by B/n.
 
-    Component j is (B/n) * sum_i grad_ij / (sum_m x_m grad_im) - 1: zero on
+    Component j is (B/n) f_j'(x_j) sum_i u_ij / (u_i . z(x)) - 1: zero on
     funded items and <= 0 on unfunded items at an exact solution.
     """
     xv = allocation_vector(x)
     if xv.size != inst.k:
         raise ValueError(f"allocation has {xv.size} items, expected {inst.k}")
-    lhs = _grads_per_spend(model, xv).sum(axis=0)
+    lhs = _weighted_slopes(model.u.T @ _spend_weights(model, xv), model.fprime(xv))
     return (inst.budget / inst.n) * lhs - 1.0
 
 
 def recover_prices(inst: Instance, model: UtilityModel, x) -> np.ndarray:
-    """Supporting prices p_ij = (B/n) grad_ij / (sum_m x_m grad_im), shape (n, k).
+    """Supporting prices p_ij = (B/n) u_ij f_j'(x_j) / (u_i . z(x)), shape (n, k).
 
     Each voter's bundle costs exactly B/n under their prices, and the per-item
     price totals exceed 1 by at most the residual certificate.
     """
-    return (inst.budget / inst.n) * _grads_per_spend(model, allocation_vector(x))
+    xv = allocation_vector(x)
+    w = _spend_weights(model, xv)
+    return (inst.budget / inst.n) * _weighted_slopes(model.u, model.fprime(xv)) * w[:, None]
 
 
 def solve_potential(

@@ -1,14 +1,15 @@
 """Problem instances, utility families, and the marginal-spend change of variables.
 
 Everything downstream consumes the same primitives: a voter/item matrix wrapped
-in :class:`Instance` and a utility family layered on top of it.  The
-non-satiating families (linear, power-sum, smoothed-saturating) also carry the
-convex-program solver's per-item change of variables from money ``x`` to
-marginal spend ``z_j = x_j * f_j'(x_j)``: ``zvec`` maps x to z, ``x_of_z`` back,
-``ratio(z) = x/z = 1/f'(x)`` is nondecreasing (this is exactly non-satiation),
-``integral`` is its antiderivative R with R(0) = 0, which makes the solver's
-potential concave, and ``ratio_prime`` is its derivative, the potential's
-per-item curvature.  All are vectorized over item vectors.
+in :class:`Instance` and a utility family layered on top of it.  Every family
+carries the per-item slope ``fprime`` and marginal spend ``zvec``, z_j = x_j *
+f_j'(x_j), the two vectors of the equilibrium condition (Cobb-Douglas those of
+its log-separable form).  The non-satiating families (linear, power-sum,
+smoothed-saturating) also carry the solver's maps back from z: ``x_of_z``;
+``ratio(z) = x/z = 1/f'(x)``, nondecreasing (this is exactly non-satiation);
+``integral``, its antiderivative R with R(0) = 0, which makes the solver's
+potential concave; and ``ratio_prime``, the potential's per-item curvature.
+All are vectorized over item vectors.
 
 Utilities are additive across items, ``U_i(x) = sum_j u_ij * f_j(x_j)``, except
 for the Cobb-Douglas family which is the product form ``prod_j x_j^{a_ij}``
@@ -195,21 +196,25 @@ class UtilityModel(abc.ABC):
     def k(self) -> int:
         return self.u.shape[1]
 
-    @abc.abstractmethod
     def utilities_all(self, x: np.ndarray) -> np.ndarray:
-        """U_i(x) for every voter, shape (n,)."""
-
-    @abc.abstractmethod
-    def gradients_all(self, x: np.ndarray) -> np.ndarray:
-        """dU_i/dx_j for every voter, shape (n, k)."""
+        """U_i(x) for every voter, shape (n,): one row of :meth:`utilities_batch`."""
+        return self.utilities_batch(allocation_vector(x)[None, :])[0]
 
     @abc.abstractmethod
     def utilities_batch(self, X: np.ndarray) -> np.ndarray:
         """U_i(row) for a batch of allocations, shape (m, k) -> (m, n)."""
 
     @abc.abstractmethod
-    def marginal_spend_all(self, x: np.ndarray) -> np.ndarray:
-        """sum_j x_j dU_i/dx_j per voter, shape (n,)."""
+    def gradients_all(self, x: np.ndarray) -> np.ndarray:
+        """dU_i/dx_j for every voter, shape (n, k)."""
+
+    @abc.abstractmethod
+    def fprime(self, x: np.ndarray) -> np.ndarray:
+        """Per-item slope f_j'(x_j) of the separable form, shape (k,)."""
+
+    @abc.abstractmethod
+    def zvec(self, x: np.ndarray) -> np.ndarray:
+        """Per-item marginal spend x_j f_j'(x_j), written so x = 0 never gives 0 * inf."""
 
 
 def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -225,25 +230,11 @@ class _ScalarSeparable(UtilityModel):
     def f(self, x: np.ndarray) -> np.ndarray:
         """Item value curve, broadcast over trailing item axis."""
 
-    @abc.abstractmethod
-    def fprime(self, x: np.ndarray) -> np.ndarray:
-        ...
-
-    @abc.abstractmethod
-    def zvec(self, x: np.ndarray) -> np.ndarray:
-        """x * f'(x), written so x = 0 never produces 0 * inf."""
-
-    def utilities_all(self, x: np.ndarray) -> np.ndarray:
-        return self.u @ self.f(allocation_vector(x))
-
     def utilities_batch(self, X: np.ndarray) -> np.ndarray:
         return self.f(np.asarray(X, dtype=float)) @ self.u.T
 
     def gradients_all(self, x: np.ndarray) -> np.ndarray:
         return _weighted_slopes(self.u, self.fprime(allocation_vector(x)))
-
-    def marginal_spend_all(self, x: np.ndarray) -> np.ndarray:
-        return self.u @ self.zvec(allocation_vector(x))
 
 
 class PowerSum(_ScalarSeparable):
@@ -306,7 +297,8 @@ class CobbDouglas(UtilityModel):
     """U_i(x) = prod_j x_j^{a_ij} with rows of a summing to one.
 
     The exponent matrix doubles as the instance's utility matrix. The core is
-    invariant under monotone transforms, so solvers work on log U.
+    invariant under monotone transforms, so solvers work on the separable
+    log U_i = sum_j a_ij log x_j, whose slope f' is 1/x and marginal spend z is 1.
     """
 
     _ROW_SUM_TOL = 1e-9
@@ -326,10 +318,6 @@ class CobbDouglas(UtilityModel):
         with np.errstate(divide="ignore"):
             return np.where(X > 0, np.log(np.maximum(X, 1e-300)), _LOG_ZERO)
 
-    def utilities_all(self, x) -> np.ndarray:
-        L = self._log_x(allocation_vector(x))
-        return np.exp(self.u @ L)
-
     def utilities_batch(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self._log_x(X) @ self.u.T)
 
@@ -340,9 +328,12 @@ class CobbDouglas(UtilityModel):
         U = self.utilities_all(xv)
         return self.u * (U[:, None] / xv[None, :])
 
-    def marginal_spend_all(self, x) -> np.ndarray:
-        # Euler: sum_j x_j dU/dx_j = U for degree-1 homogeneous utilities.
-        return self.utilities_all(x)
+    def fprime(self, x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(x, dtype=float)
+
+    def zvec(self, x):
+        return np.ones_like(np.asarray(x, dtype=float))
 
 
 class Saturating(_ScalarSeparable):

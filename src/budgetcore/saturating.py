@@ -184,7 +184,9 @@ def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> He
             budget_flagged=abs(float(sizes.sum()) - B) > eps_target * B,
         )
 
-    u = np.asfortranarray(inst.utilities)  # columns u[:, j] are contiguous
+    # One column-major copy (1.2 ms at n=20000, k=30) makes each sweep's u.T @ inv
+    # 0.12 ms instead of 0.33 ms; that product's bits depend on the layout.
+    u = np.asfortranarray(inst.utilities)
     scale = B / n
     # Each item's supporters (u_ij > 0): the only voters that moving it touches.
     valued = u > 0

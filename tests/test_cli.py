@@ -294,6 +294,23 @@ class TestCheckCore:
         assert cert["guarantee"].startswith(f"unavailable: voter {voter} ")
         assert rep["result"]["deviation"] is not None
 
+    def test_cobb_douglas_zero_spend_certifies_nothing(self, capsys, tmp_path):
+        # A Cobb-Douglas voter's marginal spend is its exponent row sum, so a
+        # zero spend on a weighted item gives an infinite residual, not an
+        # undefined one; the deviation search still blocks the allocation.
+        votes = tmp_path / "votes.csv"
+        votes.write_text("voter_id,a,b,c\nv0,0.5,0.25,0.25\nv1,0.2,0.3,0.5\n"
+                         "v2,0.6,0.4,0\nv3,0.1,0.1,0.8\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"budget": 4.0, "utility_model": {"family": "cobbdouglas"}}))
+        rc, rep = run(capsys, "check-core", "--votes", str(votes), "--config", str(config),
+                      "--allocation", self.write_alloc(tmp_path, [2.0, 2.0, 0.0]),
+                      "--out", str(tmp_path / "chk"))
+        assert rc == 0
+        cert = rep["result"]["certificate"]
+        assert cert["epsilon"] == "inf" and cert["budget_ok"] is False
+        assert rep["result"]["deviation"] is not None
+
     def test_vacuous_certificate_is_not_ok(self, capsys, tmp_path):
         votes = self.setup_majority(capsys, tmp_path)
         alloc = self.write_alloc(tmp_path, [0.99, 0.01])

@@ -33,6 +33,7 @@ from budgetcore.model import (
     ModelError,
     PowerSum,
     Saturating,
+    SmoothedSaturating,
     make_model,
 )
 
@@ -99,6 +100,54 @@ class TestResiduals:
             warnings.simplefilter("error")
             assert lindahl_residuals(inst, model, x).tolist() == [0.0, np.inf]
             assert model.gradients_all(x)[0].tolist() == [0.5, 0.0]
+
+
+def gradient_reference(inst, model, x):
+    """Residuals and prices from the n x k gradient matrix:
+    (B/n) grad_ij / (sum_m x_m grad_im)."""
+    grad = model.gradients_all(x)
+    prices = (inst.budget / inst.n) * grad / (grad @ x)[:, None]
+    return prices.sum(axis=0) - 1.0, prices
+
+
+def five_families():
+    """(model, x) on every family, with spends that reach each branch."""
+    rng = np.random.default_rng(7)
+    u = rng.uniform(0.1, 1.0, size=(30, 4)) * (rng.uniform(size=(30, 4)) < 0.7)
+    u[:, 0] = rng.uniform(0.1, 1.0, size=30)  # every voter values an uncapped item
+    sizes = np.array([2.0, 0.5, 0.8, 0.3])
+    cd = u / u.sum(axis=1, keepdims=True)
+    x = np.array([1.3, 0.4, 0.9, 0.7])  # below, below, past and past the sizes
+    band = np.array([1.3, 0.5, 0.8 * (1.0 + 1e-13), 1.2])  # at, inside, past the kink
+    return [
+        pytest.param(Linear(u), x, id="linear"),
+        pytest.param(PowerSum(u, 0.5), x, id="powersum"),
+        pytest.param(PowerSum(u, [0.3, 0.5, 0.8, 1.0]), x, id="powersum-per-item"),
+        pytest.param(Saturating(u, sizes), x, id="saturating"),
+        pytest.param(Saturating(u, sizes), band, id="saturating-kink"),
+        pytest.param(SmoothedSaturating(u, sizes, 0.1), x, id="smoothed"),
+        pytest.param(CobbDouglas(cd), x, id="cobbdouglas"),
+    ]
+
+
+class TestGradientFreeCondition:
+    @pytest.mark.parametrize("model, x", five_families())
+    def test_matches_gradient_matrix(self, model, x):
+        inst = Instance(utilities=model.u, budget=3.0)
+        res_ref, prices_ref = gradient_reference(inst, model, x)
+        res = lindahl_residuals(inst, model, x)
+        assert np.max(np.abs(res - res_ref)) <= 1e-12 * np.max(np.abs(res_ref + 1.0))
+        prices = recover_prices(inst, model, x)
+        assert np.max(np.abs(prices - prices_ref)) <= 1e-12 * np.max(prices_ref)
+
+    @pytest.mark.parametrize("model, x", five_families())
+    def test_never_builds_gradients(self, model, x, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "gradients_all", lambda *a: calls.append(a))
+        inst = Instance(utilities=model.u, budget=3.0)
+        lindahl_residuals(inst, model, x)
+        recover_prices(inst, model, x)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

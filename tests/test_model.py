@@ -257,10 +257,12 @@ class TestCobbDouglas:
             m.gradients_all(np.array([1.0, 0.0, 1.0, 1.0]))
 
     def test_euler_identity(self):
-        # Degree-1 homogeneity: sum_j x_j dU/dx_j == U.
+        # Degree-1 homogeneity: sum_j x_j dU/dx_j == U.  The log-separable maps
+        # (f' = 1/x, z = 1) give log U's marginal spend, sum_j a_ij = 1.
         m = CobbDouglas(self.exponents())
         x = RNG.uniform(0.2, 1.2, size=4)
-        assert m.marginal_spend_all(x) == pytest.approx(m.utilities_all(x))
+        assert m.u @ m.zvec(x) == pytest.approx(
+            (m.gradients_all(x) * x).sum(axis=1) / m.utilities_all(x))
         assert (m.gradients_all(x) * x).sum(axis=1) == pytest.approx(m.utilities_all(x))
 
     def test_batch_matches_single(self):
@@ -309,7 +311,7 @@ class TestSaturating:
         u = np.array([[1.0, 0.5], [0.2, 1.0], [1.0, 1.0]])
         inst = Instance(utilities=u, budget=3.0, sizes=np.ones(2))
         m, x = Saturating(u, inst.sizes), np.array([2.0, 1.0])
-        assert m.marginal_spend_all(x) == pytest.approx((m.gradients_all(x) * x).sum(1))
+        assert m.u @ m.zvec(x) == pytest.approx((m.gradients_all(x) * x).sum(1))
         assert recover_prices(inst, m, x) @ x == pytest.approx(np.full(3, 1.0))
 
     def test_no_transform(self):
