@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -144,15 +144,9 @@ def rank_and_round(
     )
 
 
-def _funded_set(a: Union[Allocation, Iterable[int]]) -> frozenset:
-    if isinstance(a, Allocation):
-        return a.funded_set()
-    return frozenset(int(j) for j in a)
-
-
-def jaccard(a: Union[Allocation, Iterable[int]], b: Union[Allocation, Iterable[int]]) -> float:
+def jaccard(a: Allocation, b: Allocation) -> float:
     """Overlap of funded sets: |A & B| / |A | B|, with 1.0 when both are empty."""
-    A, B = _funded_set(a), _funded_set(b)
+    A, B = a.funded_set(), b.funded_set()
     union = A | B
     if not union:
         return 1.0

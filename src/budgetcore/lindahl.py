@@ -6,7 +6,8 @@ The fair (core) allocation is characterized item-by-item: for every item j,
 
 with equality whenever x_j > 0.  ``lindahl_residuals`` reports the signed gap
 of that condition per item from the model's item vectors f'(x) and z(x), with
-no voter-by-item gradient matrix; the solvers drive it to zero.
+no voter-by-item gradient matrix, summing over voters in one fixed order
+whatever the BLAS thread count; the solvers drive it to zero.
 ``condition_violation`` holds the one funded rule, in spend space (x_j > 10 *
 1e-12 * B, a decade above the solvers' spend floor), for every solver and the
 core certificate alike.
@@ -22,8 +23,7 @@ whose stationary points satisfy the condition above; z_j = x_j f_j'(x_j) and
 R_j are the model's own maps (see ``budgetcore.model``).  For linear
 utilities z = x and Phi is the proportional-fairness objective.  Smoothed
 saturating models are solved the same way; their approximation factor is
-``budgetcore.saturating.smoothing_alpha``.  ``recover_prices`` turns a
-solution into the matrix of supporting per-voter prices, from the same vectors.
+``budgetcore.saturating.smoothing_alpha``.
 
 The randomized mechanism's fairness point over its floored simplex is also
 found by ``solve_potential``: shifting every linear utility by floor/slack
@@ -59,7 +59,6 @@ __all__ = [
     "lindahl_residuals",
     "condition_violation",
     "solve_potential",
-    "recover_prices",
 ]
 
 _ARMIJO_SLOPE = 1e-4
@@ -116,13 +115,10 @@ class LindahlResult:
     objective_trace: list = field(default_factory=list)
 
 
-def _spend_weights(model: UtilityModel, xv: np.ndarray) -> np.ndarray:
-    """1 / (u_i . z(x)) per voter, the weights behind residuals and prices."""
-    denom = model.u @ model.zvec(xv)
-    bad = ~(denom > 0) | ~np.isfinite(denom)
-    if np.any(bad):
-        raise DegenerateAgentError(int(np.flatnonzero(bad)[0]))
-    return 1.0 / denom
+def _column_sums(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u^T w.  BLAS splits this reduction over voters across threads, which
+    moves its last bits with the thread count; einsum sums in one fixed order."""
+    return np.einsum("ij,i->j", u, w)
 
 
 def _funded(x, budget: float) -> np.ndarray:
@@ -144,19 +140,12 @@ def lindahl_residuals(inst: Instance, model: UtilityModel, x) -> np.ndarray:
     xv = allocation_vector(x)
     if xv.size != inst.k:
         raise ValueError(f"allocation has {xv.size} items, expected {inst.k}")
-    lhs = _weighted_slopes(model.u.T @ _spend_weights(model, xv), model.fprime(xv))
+    denom = model.u @ model.zvec(xv)
+    bad = ~(denom > 0) | ~np.isfinite(denom)
+    if np.any(bad):
+        raise DegenerateAgentError(int(np.flatnonzero(bad)[0]))
+    lhs = _weighted_slopes(_column_sums(model.u, 1.0 / denom), model.fprime(xv))
     return (inst.budget / inst.n) * lhs - 1.0
-
-
-def recover_prices(inst: Instance, model: UtilityModel, x) -> np.ndarray:
-    """Supporting prices p_ij = (B/n) u_ij f_j'(x_j) / (u_i . z(x)), shape (n, k).
-
-    Each voter's bundle costs exactly B/n under their prices, and the per-item
-    price totals exceed 1 by at most the residual certificate.
-    """
-    xv = allocation_vector(x)
-    w = _spend_weights(model, xv)
-    return (inst.budget / inst.n) * _weighted_slopes(model.u, model.fprime(xv)) * w[:, None]
 
 
 def solve_potential(
@@ -205,7 +194,7 @@ def solve_potential(
         """(Phi, violation, w, g) at z."""
         w = 1.0 / (u @ z)
         r = model.ratio(z)
-        uw = u.T @ w
+        uw = _column_sums(u, w)
         viol = condition_violation(uw / (c * r) - 1.0, model.x_of_z(z), B)
         return float(-np.log(w).sum() - c * model.integral(z).sum()), viol, w, uw - c * r
 

@@ -54,7 +54,6 @@ __all__ = [
     "MechanismConfig",
     "FeasibleSet",
     "normalize_instance",
-    "inner_max",
     "score_q",
     "proportional_fairness_point",
     "sample_mechanism",
@@ -212,8 +211,8 @@ class _Scorer:
     agent: Optional[int] = None
     override: Optional[np.ndarray] = None
 
-    def inner_terms(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inner maximum value and the per-item values it maximizes, for each row of X."""
+    def inner_terms(self, X: np.ndarray) -> np.ndarray:
+        """Inner maximum value for each row of X."""
         U = X @ self.nu.T
         if self.agent is not None:
             U[:, self.agent] = np.einsum("ck,ck->c", X, self.override)
@@ -222,18 +221,16 @@ class _Scorer:
         if self.agent is not None:
             corr = inv[:, self.agent][:, None]
             per_item = per_item + corr * (self.override - self.nu[self.agent][None, :])
-        value = self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * per_item.max(axis=1)
-        return value, per_item
+        return self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * per_item.max(axis=1)
 
     def q(self, X: np.ndarray) -> np.ndarray:
-        value, _ = self.inner_terms(X)
-        return self.fs.n - self.fs.lower_bound * value
+        return self.fs.n - self.fs.lower_bound * self.inner_terms(X)
 
 
 def _inner_at(
     inst: Instance, x: Union[Allocation, np.ndarray], cfg: MechanismConfig
-) -> tuple[FeasibleSet, float, int]:
-    """The floored simplex, inner maximum and argmax item at one allocation in it."""
+) -> tuple[FeasibleSet, float]:
+    """The floored simplex and the inner maximum at one allocation in it."""
     _require_normalized(inst)
     fs = FeasibleSet(inst.n, inst.k, cfg.gamma)
     xv = allocation_vector(x)
@@ -242,23 +239,12 @@ def _inner_at(
             "allocation lies outside the floored simplex "
             f"(floor {fs.lower_bound:.6g}, total {xv.sum():.6g})"
         )
-    value, per_item = _Scorer(inst.utilities, fs).inner_terms(xv[None, :])
-    return fs, float(value[0]), int(per_item[0].argmax())
-
-
-def inner_max(
-    inst: Instance, x: Union[Allocation, np.ndarray], cfg: MechanismConfig
-) -> tuple[float, Allocation]:
-    """max_y sum_i U_i(y)/U_i(x) over the floored simplex, with its argmax vertex."""
-    fs, value, best_j = _inner_at(inst, x, cfg)
-    y = np.full(inst.k, fs.lower_bound)
-    y[best_j] += fs.slack
-    return value, Allocation(x=y)
+    return fs, float(_Scorer(inst.utilities, fs).inner_terms(xv[None, :])[0])
 
 
 def score_q(inst: Instance, x: Union[Allocation, np.ndarray], cfg: MechanismConfig) -> float:
     """The mechanism's concave quality score; 0 <= q <= n - n^(1-gamma)."""
-    fs, value, _ = _inner_at(inst, x, cfg)
+    fs, value = _inner_at(inst, x, cfg)
     return inst.n - fs.lower_bound * value
 
 
@@ -290,7 +276,7 @@ def approximation_certificate(
             f"eps={cfg.epsilon_priv:g}"
         )
     norm = normalize_instance(inst)
-    fs, value, _ = _inner_at(norm, allocation_vector(x) / inst.budget, cfg)
+    fs, value = _inner_at(norm, allocation_vector(x) / inst.budget, cfg)
     alpha = max(value - norm.n, 0.0)
     lb = fs.lower_bound
     return ((norm.k - 1) * lb + alpha / norm.n) / (1.0 - norm.k * lb)

@@ -83,10 +83,6 @@ class Allocation:
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "kind", AllocationKind(self.kind))
 
-    @property
-    def k(self) -> int:
-        return self.x.size
-
     def total(self) -> float:
         return float(self.x.sum())
 

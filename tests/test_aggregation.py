@@ -114,10 +114,13 @@ class TestCoreRanking:
 
 class TestSimilarity:
     def test_jaccard_basics(self):
-        assert jaccard([0, 1], [0, 1]) == 1.0
-        assert jaccard([0, 1], [2, 3]) == 0.0
-        assert jaccard([0, 1, 2], [1, 2, 3]) == pytest.approx(0.5)
-        assert jaccard([], []) == 1.0
+        def funding(*items):
+            return Allocation(x=np.isin(np.arange(4), items).astype(float))
+
+        assert jaccard(funding(0, 1), funding(0, 1)) == 1.0
+        assert jaccard(funding(0, 1), funding(2, 3)) == 0.0
+        assert jaccard(funding(0, 1, 2), funding(1, 2, 3)) == pytest.approx(0.5)
+        assert jaccard(funding(), funding()) == 1.0
 
     def test_jaccard_accepts_allocations(self):
         a = Allocation(x=np.array([1.0, 0.0, 2.0]))

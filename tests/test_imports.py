@@ -1,9 +1,11 @@
 """Every name a budgetcore module imports is used there or listed in its
-``__all__``, every ``__all__`` entry names an attribute, no base-class method is shadowed in every concrete subclass,
-no module or class body binds a second name to one of its functions,
-every defaulted parameter of a private function is passed somewhere,
-every config field rejects a bool, importing the CLI leaves scipy unloaded,
-and ``analyze`` loads no ``scipy.stats``."""
+``__all__``, every ``__all__`` entry names an attribute, no base-class method
+is shadowed in every concrete subclass, no module or class body binds a second
+name to one of its functions, every ``__all__`` entry outside ``__init__`` is
+named by the package, the benchmark or the acceptance gate (bar a listed few),
+every defaulted parameter of a private function is passed somewhere, every
+config field rejects a bool, importing the CLI leaves scipy unloaded, and
+``analyze`` loads no ``scipy.stats``."""
 
 import ast
 import dataclasses
@@ -104,6 +106,37 @@ def alias_functions() -> list:
 
 def test_no_alias_functions():
     assert alias_functions() == []
+
+
+# Public names kept although only unit tests call them, each with its reason.
+TEST_ONLY_ALLOWED = {
+    "smoothing_alpha": "the smoothed relaxation's factor, which the smoothed "
+                       "`solve` report is to print (ROADMAP.md)",
+}
+
+
+def unit_test_only_names() -> list:
+    """``__all__`` entries of budgetcore modules (not ``__init__``) that no
+    name or attribute in the package, the benchmark or the acceptance gate
+    refers to: public surface that only unit tests reach."""
+    repo = Path(__file__).resolve().parents[1]
+    readers = MODULES + sorted((repo / "perfbench").glob("*.py")) + [
+        repo / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = [(path.stem, name) for path in MODULES if path.stem != "__init__"
+              for name in importlib.import_module(f"budgetcore.{path.stem}").__all__]
+    return sorted(f"{module}.{name}" for module, name in public if name not in used)
+
+
+def test_public_names_have_callers_outside_unit_tests():
+    assert [n for n in unit_test_only_names()
+            if n.split(".")[1] not in TEST_ONLY_ALLOWED] == []
 
 
 def unpassed_private_defaults() -> list:

@@ -13,6 +13,9 @@ Reference points used here, all derivable by hand:
 ``solve_potential``, the one equilibrium entry point, must reach each of them.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,7 +26,6 @@ from budgetcore.lindahl import (
     DegenerateAgentError,
     SolverConfig,
     lindahl_residuals,
-    recover_prices,
     solve_potential,
 )
 from budgetcore.model import (
@@ -34,6 +36,7 @@ from budgetcore.model import (
     PowerSum,
     Saturating,
     SmoothedSaturating,
+    allocation_vector,
     make_model,
 )
 
@@ -110,6 +113,14 @@ def gradient_reference(inst, model, x):
     return prices.sum(axis=0) - 1.0, prices
 
 
+def supporting_prices(inst, model, x):
+    """Per-voter prices (B/n) u_ij f_j'(x_j) / (u_i . z(x)), shape (n, k),
+    from the item vectors: item j's total is 1 plus residual j."""
+    xv = allocation_vector(x)
+    slopes = np.where(model.u > 0, model.u * model.fprime(xv), 0.0)
+    return (inst.budget / inst.n) * slopes / (model.u @ model.zvec(xv))[:, None]
+
+
 def five_families():
     """(model, x) on every family, with spends that reach each branch."""
     rng = np.random.default_rng(7)
@@ -137,8 +148,10 @@ class TestGradientFreeCondition:
         res_ref, prices_ref = gradient_reference(inst, model, x)
         res = lindahl_residuals(inst, model, x)
         assert np.max(np.abs(res - res_ref)) <= 1e-12 * np.max(np.abs(res_ref + 1.0))
-        prices = recover_prices(inst, model, x)
+        prices = supporting_prices(inst, model, x)
         assert np.max(np.abs(prices - prices_ref)) <= 1e-12 * np.max(prices_ref)
+        totals = prices.sum(axis=0)
+        assert np.max(np.abs(res - (totals - 1.0))) <= 1e-12 * np.max(totals)
 
     @pytest.mark.parametrize("model, x", five_families())
     def test_never_builds_gradients(self, model, x, monkeypatch):
@@ -146,7 +159,6 @@ class TestGradientFreeCondition:
         monkeypatch.setattr(model, "gradients_all", lambda *a: calls.append(a))
         inst = Instance(utilities=model.u, budget=3.0)
         lindahl_residuals(inst, model, x)
-        recover_prices(inst, model, x)
         assert calls == []
 
 
@@ -297,12 +309,48 @@ class TestPrices:
         u = rng.uniform(0.1, 1.0, size=(12, 4))
         inst = Instance(utilities=u, budget=3.0)
         result = solve_potential(inst, Linear(u))
-        prices = recover_prices(inst, Linear(u), result.x)
+        prices = supporting_prices(inst, Linear(u), result.x)
         spend = prices @ result.x.x
         assert spend == pytest.approx(np.full(12, 3.0 / 12), rel=1e-9)
 
     def test_item_price_sums_near_one(self):
         inst = disjoint_instance([4, 6], budget=1.0)
         result = solve_potential(inst, Linear(inst.utilities))
-        prices = recover_prices(inst, Linear(inst.utilities), result.x)
+        prices = supporting_prices(inst, Linear(inst.utilities), result.x)
         assert prices.sum(axis=0) == pytest.approx(np.ones(2), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Determinism across BLAS thread counts
+# ---------------------------------------------------------------------------
+
+BLAS_PROBE = """
+from budgetcore.ballots import gen_synthetic
+from budgetcore.lindahl import solve_potential
+from budgetcore.model import make_model
+inst = gen_synthetic("k-approval", n=20000, k=30, seed=1, budget=1e6)
+for family, params in (("linear", {}), ("powersum", {"alpha": 0.5}),
+                       ("smoothed", {"eps_smooth": 0.1})):
+    r = solve_potential(inst, make_model(inst, family, **params))
+    print(family, r.x.x.tobytes().hex(), r.residuals.tobytes().hex())
+"""
+
+
+def test_solve_is_identical_across_blas_thread_counts():
+    """x and the residuals carry the same bits with 1 and 2 OpenBLAS threads.
+
+    OpenBLAS splits a reduction over 20000 voters across its threads, which
+    moves the last bits of the sum, so a solver that summed over voters with
+    BLAS fails here, but only where OpenBLAS gets at least 2 CPUs.  The
+    thread count is set in each child's environment only.
+    """
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+            env=env, check=True, timeout=120,
+        ).stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from budgetcore.lindahl import recover_prices, solve_potential
+from budgetcore.lindahl import solve_potential
 from budgetcore.model import (
     Allocation,
     AllocationKind,
@@ -23,6 +23,8 @@ from budgetcore.model import (
     allocation_vector,
     make_model,
 )
+
+from test_lindahl import supporting_prices
 
 RNG = np.random.default_rng(42)
 
@@ -312,7 +314,7 @@ class TestSaturating:
         inst = Instance(utilities=u, budget=3.0, sizes=np.ones(2))
         m, x = Saturating(u, inst.sizes), np.array([2.0, 1.0])
         assert m.u @ m.zvec(x) == pytest.approx((m.gradients_all(x) * x).sum(1))
-        assert recover_prices(inst, m, x) @ x == pytest.approx(np.full(3, 1.0))
+        assert supporting_prices(inst, m, x) @ x == pytest.approx(np.full(3, 1.0))
 
     def test_no_transform(self):
         inst = Instance(utilities=self.model().u, budget=1.0, sizes=self.sizes)

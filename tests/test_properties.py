@@ -1,7 +1,9 @@
 """Property tests: the solver converges, its claim and the core certificate
 agree, its outputs pass the continuous oracle, the saturating heuristic's
-convergence claim holds on the ballots, votes files round-trip, and sampler
-states stay feasible.
+convergence claim holds on the ballots, both solvers are invariant under
+permuting voters or items and under repeating every voter (the heuristic also
+under scaling budget and sizes), votes files round-trip, and sampler states
+stay feasible.
 
 Instances are small approval-style profiles, some with items nobody values,
 so that solver outputs keep items at the spend floor; the examples are
@@ -52,6 +54,63 @@ def models(draw, inst):
     if family == "powersum":
         return PowerSum(inst.utilities, draw(st.floats(0.2, 1.0)))
     return SmoothedSaturating(inst.utilities, inst.sizes, draw(st.floats(0.05, 1.0)))
+
+
+def reindexed(inst, voters, items):
+    """``inst`` over the utility rows ``voters`` and the item columns ``items``."""
+    return Instance(utilities=inst.utilities[np.ix_(voters, items)], budget=inst.budget,
+                    sizes=inst.sizes[items])
+
+
+def same_family(model, sub, items):
+    """``model``'s family and parameter on ``sub``, whose items are ``model``'s ``items``."""
+    if isinstance(model, SmoothedSaturating):
+        return SmoothedSaturating(sub.utilities, sub.sizes, model.eps_smooth)
+    if isinstance(model, Linear):
+        return Linear(sub.utilities)
+    return PowerSum(sub.utilities, model.alpha[items])
+
+
+def relabelings(data, inst):
+    """(voters, items) index arrays: a voter permutation, an item permutation
+    and every voter twice."""
+    voters, items = np.arange(inst.n), np.arange(inst.k)
+    return [(np.array(data.draw(st.permutations(voters))), items),
+            (voters, np.array(data.draw(st.permutations(items)))),
+            (np.tile(voters, 2), items)]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_solve_is_invariant_under_relabeling_and_repetition(data):
+    # A linear equilibrium's x need not be unique, but its utilities are.
+    inst = data.draw(instances())
+    model = data.draw(models(inst))
+    base = model.utilities_all(solve_potential(inst, model).x)
+    for voters, items in relabelings(data, inst):
+        sub = reindexed(inst, voters, items)
+        sub_model = same_family(model, sub, items)
+        result = solve_potential(sub, sub_model)
+        assert result.converged
+        np.testing.assert_allclose(sub_model.utilities_all(result.x), base[voters], rtol=1e-6)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_heuristic_is_invariant_under_relabeling_repetition_and_scale(data):
+    inst = data.draw(instances())
+    cost = data.draw(st.floats(1.05, 3.0)) * inst.budget  # so the sweep runs
+    inst = Instance(utilities=inst.utilities, budget=inst.budget,
+                    sizes=inst.sizes * (cost / inst.sizes.sum()))
+    cfg = HeuristicConfig(eps_target=1e-9, max_sweeps=1000)
+    x = heuristic_solve(inst, cfg).x.x
+    cases = [(reindexed(inst, voters, items), x[items])
+             for voters, items in relabelings(data, inst)]
+    cases.append((Instance(utilities=inst.utilities, budget=1e6 * inst.budget,
+                           sizes=1e6 * inst.sizes), 1e6 * x))
+    for sub, want in cases:
+        np.testing.assert_allclose(heuristic_solve(sub, cfg).x.x, want, rtol=0,
+                                   atol=1e-7 * sub.budget)
 
 
 @PROPERTY
