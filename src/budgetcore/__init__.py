@@ -8,31 +8,4 @@ utilities, plus a batch CLI.
 
 __version__ = "0.1.0"
 
-from .model import (
-    Allocation,
-    AllocationKind,
-    CobbDouglas,
-    Instance,
-    Linear,
-    ModelError,
-    PowerSum,
-    Saturating,
-    SmoothedSaturating,
-    UtilityModel,
-    make_model,
-)
-
-__all__ = [
-    "__version__",
-    "Allocation",
-    "AllocationKind",
-    "CobbDouglas",
-    "Instance",
-    "Linear",
-    "ModelError",
-    "PowerSum",
-    "Saturating",
-    "SmoothedSaturating",
-    "UtilityModel",
-    "make_model",
-]
+__all__ = ["__version__"]

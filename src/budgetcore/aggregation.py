@@ -38,14 +38,12 @@ __all__ = [
     "AggregationError",
     "Scheme",
     "RankedScheme",
-    "SimilarityReport",
     "IndependenceReport",
     "TrialOutcome",
     "vote_counts",
     "rank_and_round",
     "jaccard",
     "budget_similarity",
-    "compare_schemes",
     "chi2_pairwise",
     "random_model_trial",
 ]
@@ -76,14 +74,6 @@ class RankedScheme:
 
     def funded_names(self, inst: Instance) -> tuple:
         return tuple(inst.item_names[j] for j in self.integral.funded())
-
-
-@dataclass(frozen=True)
-class SimilarityReport:
-    """How close two schemes landed: funded-set overlap and spend overlap."""
-
-    jaccard: float
-    budget_similarity: float
 
 
 def vote_counts(inst: Instance) -> np.ndarray:
@@ -161,13 +151,6 @@ def budget_similarity(
         raise AggregationError("budget must be positive")
     xv, zv = allocation_vector(x), allocation_vector(z)
     return float(np.minimum(xv, zv).sum() / budget)
-
-
-def compare_schemes(core: RankedScheme, welfare: RankedScheme, budget: float) -> SimilarityReport:
-    return SimilarityReport(
-        jaccard=jaccard(core.integral, welfare.integral),
-        budget_similarity=budget_similarity(core.fractional, welfare.fractional, budget),
-    )
 
 
 # ---------------------------------------------------------------------------

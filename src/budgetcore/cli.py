@@ -40,8 +40,9 @@ import numpy as np
 from . import __version__
 from .aggregation import (
     Scheme,
+    budget_similarity,
     chi2_pairwise,
-    compare_schemes,
+    jaccard,
     rank_and_round,
     vote_counts,
 )
@@ -378,7 +379,11 @@ def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -
             "fractional": welfare.fractional,
             "integral": welfare.integral,
         },
-        "similarity": compare_schemes(core, welfare, inst.budget),
+        "similarity": {
+            "jaccard": jaccard(core.integral, welfare.integral),
+            "budget_similarity": budget_similarity(core.fractional, welfare.fractional,
+                                                   inst.budget),
+        },
     }
 
 

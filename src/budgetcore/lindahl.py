@@ -20,9 +20,11 @@ potential
     Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j),
 
 whose stationary points satisfy the condition above; z_j = x_j f_j'(x_j) and
-R_j are the model's own maps (see ``budgetcore.model``).  For linear
-utilities z = x and Phi is the proportional-fairness objective.  Smoothed
-saturating models are solved the same way; their approximation factor is
+R_j are the model's own maps (see ``budgetcore.model``).  Every step has z's
+units at any budget scale and stays within [zvec(floor), zvec(B)], which no
+equilibrium leaves.  For linear utilities z = x and Phi is the
+proportional-fairness objective.  Smoothed saturating models are solved the
+same way; their approximation factor is
 ``budgetcore.saturating.smoothing_alpha``.
 
 The randomized mechanism's fairness point over its floored simplex is also
@@ -156,8 +158,8 @@ def solve_potential(
     Cobb-Douglas equilibria are proportional-fairness points with the closed
     form x_j = (B/n) sum_i a_ij (floored at 1e-12 * B; no iterations, one trace
     entry).  Every other family is solved in marginal-spend space: maximize
-    Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z at or
-    above the spend floor mapped through zvec, by projected damped Newton
+    Phi(z) = sum_i log(u_i . z) - (n/B) sum_j R_j(z_j) over z between the
+    spend floor and B, both mapped through zvec, by projected damped Newton
     (Bertsekas 1982) from the even split B/k.  With w = 1/(u z), the gradient
     is g = u^T w - (n/B) ratio(z) and the negated Hessian is
     u^T diag(w^2) u + (n/B) diag(ratio'(z)); the Newton direction is solved on
@@ -167,8 +169,11 @@ def solve_potential(
     above 1e-3 the first step that raises Phi by the Armijo amount is taken;
     below that, or when Phi cannot tell a step from rounding (its magnitude
     grows with n while the gains shrink), the first step that lowers the
-    violation.  When no Newton step is accepted the projected gradient is
-    tried, and when that fails too the solve stops.
+    violation.  When no Newton step is accepted g/h is tried, h the negated
+    Hessian's diagonal (g has units 1/B and h 1/B^2, so g/h has z's units at
+    any B), and when that fails too the solve stops.  The bound at B keeps a
+    smoothed item, whose spend grows like z^(1/eps) past its cap, from
+    leaping far beyond the budget.
     Converged means the equilibrium condition holds to ``residual_tol``
     (two-sided on funded items, one-sided on unfunded ones).  Hard saturating
     models have no marginal-spend maps and raise :class:`ModelError` before
@@ -189,6 +194,7 @@ def solve_potential(
         )
     u, c = model.u, n / B
     floor = model.zvec(np.full(k, _SPEND_FLOOR * B))
+    ceiling = model.zvec(np.full(k, B))  # no equilibrium spends more on one item
 
     def evaluate(z):
         """(Phi, violation, w, g) at z."""
@@ -205,7 +211,7 @@ def solve_potential(
         drop = (u @ d) * w
         eta = float((_TO_BOUNDARY / -drop[drop < -_TO_BOUNDARY]).min(initial=1.0))
         for _ in range(_MAX_HALVINGS):
-            z_new = np.maximum(z + eta * d, floor)
+            z_new = np.clip(z + eta * d, floor, ceiling)
             trial = evaluate(z_new)
             phi_new, viol_new = trial[:2]
             if by_phi:
@@ -221,11 +227,13 @@ def solve_potential(
     phi, viol, w, g = evaluate(z)
     trace, it = [(0, viol)], 0
     while viol > cfg.residual_tol and it < cfg.max_iters:
+        M = (u.T * (w * w)) @ u
+        h = np.diag(M) + c * model.ratio_prime(z)
+        directions = [g / np.where(h > 0, h, h[h > 0].min())]  # tried when Newton fails
         free = _funded(model.x_of_z(z), B) | (g > 0)
-        directions = [g]  # the projected gradient, tried when Newton fails
         if np.any(free):
-            A = ((u.T * (w * w)) @ u)[np.ix_(free, free)]
-            diag = np.diag(A) + c * model.ratio_prime(z)[free]
+            A = M[np.ix_(free, free)]
+            diag = h[free]
             # Relative damping keeps A regular at any scale of z; an item that
             # nobody values and has no curvature gets the mean, and so a long
             # step toward the floor.
@@ -235,7 +243,7 @@ def solve_potential(
                 if np.all(np.isfinite(df)) and float(df @ g[free]) > 0:
                     d = np.zeros(k)
                     d[free] = df
-                    directions = [d, g]
+                    directions.insert(0, d)
             except np.linalg.LinAlgError:
                 pass
         # A step that Phi cannot tell from rounding is judged by the violation.

@@ -16,7 +16,6 @@ from budgetcore.aggregation import (
     Scheme,
     budget_similarity,
     chi2_pairwise,
-    compare_schemes,
     jaccard,
     random_model_trial,
     rank_and_round,
@@ -134,19 +133,6 @@ class TestSimilarity:
         assert budget_similarity(x, x, 3.0) == pytest.approx(1.0)
         with pytest.raises(AggregationError, match="positive"):
             budget_similarity(x, z, 0.0)
-
-    def test_compare_schemes_wraps_both_measures(self, boston):
-        welfare = rank_and_round(boston, "welfare")
-        # Stand-in core allocation: proportional fill of every project.
-        fill = boston.sizes * (BOSTON_BUDGET / boston.sizes.sum())
-        core = rank_and_round(boston, "core", fractional_core=fill)
-        rep = compare_schemes(core, welfare, BOSTON_BUDGET)
-        assert rep.jaccard == jaccard(core.integral, welfare.integral)
-        assert rep.budget_similarity == budget_similarity(
-            core.fractional, welfare.fractional, BOSTON_BUDGET
-        )
-        assert 0.0 <= rep.jaccard <= 1.0
-        assert 0.0 <= rep.budget_similarity <= 1.0
 
 
 class TestIndependenceAnalysis:

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import budgetcore
+from budgetcore.aggregation import budget_similarity, jaccard
 from budgetcore.cli import CliError, ElectionConfig, main
 from budgetcore.ballots import parse_votes
 from budgetcore.lindahl import SolverConfig
 from budgetcore.mechanism import MechanismConfig
-from budgetcore.model import Instance
+from budgetcore.model import Allocation, Instance
 from budgetcore.saturating import HeuristicConfig, heuristic_solve
 
 from test_saturating import ballot_violation
@@ -507,6 +508,13 @@ class TestCompare:
         sim = rep["result"]["similarity"]
         assert 0.0 <= sim["jaccard"] <= 1.0
         assert 0.0 <= sim["budget_similarity"] <= 1.0
+        # Both measures, recomputed from the report's own rounded outcomes.
+        core, welfare = rep["result"]["core"], rep["result"]["welfare"]
+        integral = [Allocation(x=np.array(s["integral"]["x"])) for s in (core, welfare)]
+        fractional = [np.array(s["fractional"]["x"]) for s in (core, welfare)]
+        assert sim["jaccard"] == jaccard(*integral)
+        assert sim["budget_similarity"] == budget_similarity(
+            *fractional, rep["config"]["budget_cents"] / 100)
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert lines[0] == "Project,Budget,Votes,Core,Welfare"
         assert len(lines) == 9

@@ -297,6 +297,38 @@ class TestPotentialSolver:
         assert loose.converged
         assert max_condition_violation(inst, model, loose.x.x) <= 1e-4
 
+    @pytest.mark.parametrize("budget", [1.0, 1e3, 1e6, 1e9])
+    def test_more_items_than_voters_at_every_budget(self, budget):
+        # Item 5 is every voter's best value per dollar, so the equilibrium
+        # spends all of B on it.  The cap keeps a stalled solve short.
+        u = np.array([[0.53, 0.17, 0.32, 0.32, 0.42, 0.70, 0.30],
+                      [0.32, 0.13, 0.56, 0.42, 0.93, 0.90, 0.82],
+                      [0.75, 0.98, 0.15, 0.21, 0.58, 0.77, 0.29],
+                      [1.00, 0.68, 0.30, 0.86, 0.70, 0.65, 0.61]])
+        result = solve_potential(Instance(utilities=u, budget=budget), Linear(u),
+                                 SolverConfig(max_iters=100))
+        assert result.converged
+        assert result.iterations <= 20
+        np.testing.assert_allclose(result.x.x / budget, np.eye(7)[5], rtol=0, atol=1e-9)
+
+    def test_smoothed_steps_stay_within_the_budget(self):
+        # Draw 21 of this generator (n=18, k=42, B = 0.2715): past its cap a
+        # smoothed item's spend grows like z^(1/eps), and a step that sent one
+        # far past B once took over 200 iterations to drain.
+        rng = np.random.default_rng(1)
+        for _ in range(22):
+            n, k = rng.integers(2, 30), rng.integers(2, 60)
+            u = rng.random((n, k)) * (rng.random((n, k)) < rng.uniform(0.3, 0.9))
+            for i in np.flatnonzero(u.max(axis=1) == 0):
+                u[i, rng.integers(k)] = rng.random() + 0.1
+            budget = 10 ** rng.uniform(-3, 9)
+            sizes = budget * rng.uniform(0.02, 0.5, k)
+        assert (n, k) == (18, 42)
+        inst = Instance(utilities=u, budget=budget, sizes=sizes)
+        result = solve_potential(inst, SmoothedSaturating(u, sizes, 0.1))
+        assert result.converged
+        assert result.iterations <= 60
+
 
 # ---------------------------------------------------------------------------
 # Price recovery

@@ -1,9 +1,9 @@
 """Property tests: the solver converges, its claim and the core certificate
 agree, its outputs pass the continuous oracle, the saturating heuristic's
 convergence claim holds on the ballots, both solvers are invariant under
-permuting voters or items and under repeating every voter (the heuristic also
-under scaling budget and sizes), votes files round-trip, and sampler states
-stay feasible.
+permuting voters or items and under repeating every voter, both scale with
+budget and sizes (the equilibrium solver also where items outnumber voters),
+votes files round-trip, and sampler states stay feasible.
 
 Instances are small approval-style profiles, some with items nobody values,
 so that solver outputs keep items at the spend floor; the examples are
@@ -93,6 +93,24 @@ def test_solve_is_invariant_under_relabeling_and_repetition(data):
         result = solve_potential(sub, sub_model)
         assert result.converged
         np.testing.assert_allclose(sub_model.utilities_all(result.x), base[voters], rtol=1e-6)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data())
+def test_solve_scales_with_the_budget(data):
+    # x(cB) = c x(B), so utilities scale by c^alpha; k may exceed n, where a
+    # linear x need not be unique but its utilities are.
+    inst = data.draw(instances(max_k=40))
+    alpha = data.draw(st.sampled_from([1.0, 0.5]))
+    c = data.draw(st.sampled_from([2.0**-20, 1e6, 2.0**30]))
+    model = PowerSum(inst.utilities, alpha)
+    cfg = SolverConfig(max_iters=500)
+    base = solve_potential(inst, model, cfg)
+    scaled = solve_potential(Instance(utilities=inst.utilities, budget=c * inst.budget,
+                                      sizes=c * inst.sizes), model, cfg)
+    assert base.converged and scaled.converged
+    np.testing.assert_allclose(model.utilities_all(scaled.x) / c**alpha,
+                               model.utilities_all(base.x), rtol=1e-6)
 
 
 @PROPERTY
