@@ -32,6 +32,8 @@ three samplers: the single draw (the final state of one chain), pooled draws
 from many chains, and manipulation experiments, whose report variants share
 one stream of randomness so that identical reports yield identical chains.
 The driver draws that stream a block of steps at a time, in array work.
+Each step's slice level reuses the score each chain accepted; only a floor
+clip or budget rescale that moved a chain makes it score the batch again.
 """
 
 from __future__ import annotations
@@ -165,13 +167,17 @@ class FeasibleSet:
 
     def chord(self, X: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Parameter interval [t_lo, t_hi] with X + t*D inside the set, per row."""
-        # Each constraint, x_j >= lb and sum(x) <= 1, reads t*H >= num.
-        H = np.concatenate([D, -D.sum(axis=1, keepdims=True)], axis=1)
-        num = np.concatenate([self.lower_bound - X, X.sum(axis=1, keepdims=True) - 1.0], axis=1)
+        # Row c of t*H >= r is x_c >= lb (c < k) or sum(x) <= 1 (c = k).  Along axis 0,
+        # max and min are k elementwise passes; being exact, any order gives the same bits.
+        k = D.shape[1]
+        H, r = np.empty((2, k + 1, len(D)))
+        H[:k], H[k] = D.T, -D.sum(axis=1)
+        np.subtract(self.lower_bound, X.T, out=r[:k])
+        np.subtract(X.sum(axis=1), 1.0, out=r[k])
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = num / H
-        t_lo = r.max(axis=1, where=H > 0, initial=-np.inf)
-        t_hi = r.min(axis=1, where=H < 0, initial=np.inf)
+            np.divide(r, H, out=r)
+        t_lo = np.maximum.reduce(np.where(H > 0, r, -np.inf), axis=0)
+        t_hi = np.minimum.reduce(np.where(H < 0, r, np.inf), axis=0)
         return t_lo, np.maximum(t_hi, t_lo)
 
 
@@ -211,17 +217,21 @@ class _Scorer:
     agent: Optional[int] = None
     override: Optional[np.ndarray] = None
 
+    @cached_property
+    def _swap(self) -> np.ndarray:  # per chain, the agent's report minus its true row
+        return self.override - self.nu[self.agent]
+
     def inner_terms(self, X: np.ndarray) -> np.ndarray:
         """Inner maximum value for each row of X."""
         U = X @ self.nu.T
         if self.agent is not None:
             U[:, self.agent] = np.einsum("ck,ck->c", X, self.override)
-        inv = 1.0 / U
+        inv = np.divide(1.0, U, out=U)
         per_item = inv @ self.nu
         if self.agent is not None:
-            corr = inv[:, self.agent][:, None]
-            per_item = per_item + corr * (self.override - self.nu[self.agent][None, :])
-        return self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * per_item.max(axis=1)
+            per_item += inv[:, self.agent][:, None] * self._swap
+        best = np.maximum.reduce(per_item.T.copy(), axis=0)  # along axis 0, as in chord
+        return self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * best
 
     def q(self, X: np.ndarray) -> np.ndarray:
         return self.fs.n - self.fs.lower_bound * self.inner_terms(X)
@@ -346,10 +356,13 @@ def _hit_and_run(
 ):
     """Advance all chains in lockstep; stack the states after the steps in ``keep``.
 
+    Returns (kept states or None, final states, their scores, diagnostics).
     Each step draws a direction and a slice level ``q(X) - Exponential(1)/eps``
     per chain, then proposes uniformly on the chord, shrinking its bracket
     toward the current point after each miss, until the proposal clears the
-    level.  ``proposals`` counts the proposals of chains still pending.
+    level.  ``proposals`` counts the proposals of chains still pending.  q(X)
+    is each chain's accepted score, from a batch of the same shape and so the
+    same bits; the batch is scored afresh only if the clip or rescale moved one.
 
     ``crn_width`` < chains means random draws are made at that width and tiled,
     so chains that differ only in block index consume identical randomness --
@@ -369,8 +382,8 @@ def _hit_and_run(
     lb = fs.lower_bound
     reps, all_chains = chains // width, np.ones(chains, dtype=bool)
     kept: list[np.ndarray] = []
-    proposals = 0
-    worst_round = 0
+    proposals = worst_round = 0
+    q_x = scorer.q(X)
     for step in range(n_steps):
         s = step % _BLOCK
         if s == 0:  # drawn at width; np.tile repeats the chain axis to chains
@@ -380,10 +393,10 @@ def _hit_and_run(
             Us = np.tile(rng.random((_BLOCK, _ROUNDS, width)), reps)
             seeds = rng.integers(2**63, size=_BLOCK)
         D = Ds[s]
-        level = scorer.q(X) - Es[s]
+        level = q_x - Es[s]
         a, b = fs.chord(X, D)
-        t_new, pending, n_pending = np.zeros(chains), all_chains.copy(), chains
-        rounds = 0
+        t_new, q_new = np.zeros(chains), np.empty(chains)
+        pending, n_pending, rounds = all_chains.copy(), chains, 0
         while n_pending:
             if rounds >= _PROPOSAL_CAP:
                 raise RejectionCapError(
@@ -397,9 +410,11 @@ def _hit_and_run(
             t = a + u * (b - a)
             # Score every chain, settled or not: paired chains must see
             # bitwise-identical arithmetic.
-            ok = pending & (scorer.q(X + t[:, None] * D) > level)
+            q_t = scorer.q(X + t[:, None] * D)
+            ok = pending & (q_t > level)
             proposals += n_pending
-            t_new = np.where(ok, t, t_new)
+            np.copyto(t_new, t, where=ok)
+            np.copyto(q_new, q_t, where=ok)
             pending ^= ok  # ok holds pending chains only
             n_pending = np.count_nonzero(pending)
             rounds += 1
@@ -410,12 +425,14 @@ def _hit_and_run(
         worst_round = max(worst_round, rounds)
 
         X = X + t_new[:, None] * D
+        moved = X.min() < lb
         np.maximum(X, lb, out=X)
         totals = X.sum(axis=1)
         over = totals > 1.0
         if over.any():
             scale = (1.0 - k * lb) / (totals[over] - k * lb)
             X[over] = lb + (X[over] - lb) * scale[:, None]
+        q_x = scorer.q(X) if moved or over.any() else q_new
 
         if step in keep:
             kept.append(X.copy())
@@ -428,7 +445,7 @@ def _hit_and_run(
         "worst_rejection_rounds": int(worst_round),
     }
     samples = np.stack(kept) if kept else None
-    return samples, X, diag
+    return samples, X, q_x, diag
 
 
 def _start(inst: Instance, cfg: MechanismConfig, chains: int):
@@ -449,8 +466,8 @@ def sample_mechanism(inst: Instance, cfg: MechanismConfig) -> tuple[Allocation, 
     """
     norm, fs, rng, X0 = _start(inst, cfg, 1)
     scorer = _Scorer(norm.utilities, fs)
-    _, X, diag = _hit_and_run(scorer, cfg, X0, cfg.chain_steps, rng)
-    diag["score"] = float(scorer.q(X)[0])
+    _, X, q, diag = _hit_and_run(scorer, cfg, X0, cfg.chain_steps, rng)
+    diag["score"] = float(q[0])
     diag["epsilon_priv"] = float(cfg.epsilon_priv)
     diag["gamma"] = float(cfg.gamma)
     diag["seed"] = int(cfg.seed)
@@ -476,7 +493,7 @@ def sample_chain(
     norm, fs, rng, X0 = _start(inst, cfg, n_chains)
     per_chain = -(-n_samples // n_chains)
     n_steps = cfg.burn_in + (per_chain - 1) * thin + 1
-    samples, _, diag = _hit_and_run(
+    samples, _, _, diag = _hit_and_run(
         _Scorer(norm.utilities, fs), cfg, X0, n_steps, rng,
         keep=range(cfg.burn_in, n_steps, thin),
     )
@@ -532,7 +549,7 @@ def manipulation_sweep(
     scorer = _Scorer(
         norm.utilities, fs, agent=agent, override=np.repeat(reports, trials, axis=0)
     )
-    samples, _, _ = _hit_and_run(
+    samples, _, _, _ = _hit_and_run(
         scorer, cfg, _tile(X0, chains, trials), cfg.chain_steps, rng,
         keep=range(cfg.burn_in, cfg.chain_steps), crn_width=trials,
     )

@@ -46,6 +46,18 @@ def inner_value(inst, x, cfg):
     return (inst.n - score_q(inst, x, cfg)) / inst.n ** -cfg.gamma
 
 
+def row_wise_chord(fs, X, D):
+    """The chord with its k+1 constraints along axis 1 and a masked max and min
+    per row: the reference that ``FeasibleSet.chord`` must match bit for bit."""
+    H = np.concatenate([D, -D.sum(axis=1, keepdims=True)], axis=1)
+    num = np.concatenate([fs.lower_bound - X, X.sum(axis=1, keepdims=True) - 1.0], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / H
+    t_lo = r.max(axis=1, where=H > 0, initial=-np.inf)
+    t_hi = r.min(axis=1, where=H < 0, initial=np.inf)
+    return t_lo, np.maximum(t_hi, t_lo)
+
+
 TV_INSTANCE = normalized_instance([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]])
 TV_CFG = MechanismConfig(gamma=0.8, epsilon_priv=1.0, chain_steps=1000, burn_in=300, seed=7)
 
@@ -165,6 +177,26 @@ class TestFeasibleSet:
         past_lo = X + (t_lo[:, None] - 1e-6) * D
         assert not fs.contains(past_hi, tol=1e-9).any()
         assert not fs.contains(past_lo, tol=1e-9).any()
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    def test_chord_matches_row_wise_reference_bitwise(self, k):
+        fs = FeasibleSet(n=400, k=k, gamma=0.5)
+        rng = np.random.default_rng(k)
+        X = fs.uniform(rng, 300)
+        D = rng.normal(size=(300, k))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        X[:40, 0] = fs.lower_bound             # one coordinate on the floor
+        X[40:50] = fs.lower_bound              # the all-floor vertex
+        D[50:100, k - 1] = 0.0                 # an exact zero component
+        D[100:110] = 0.0                       # no direction at all
+        D[110:120] = 0.0
+        D[110:120, 0], D[110:120, 1] = 1.0, -1.0  # sum(x) stays fixed: H[k] = 0
+        t_lo, t_hi = fs.chord(X, D)
+        want_lo, want_hi = row_wise_chord(fs, X, D)
+        assert t_lo.tobytes() == want_lo.tobytes()
+        assert t_hi.tobytes() == want_hi.tobytes()
+        assert np.all(t_lo[100:110] == -np.inf) and np.all(t_hi[100:110] == np.inf)
+        assert np.isfinite(t_lo[110:120]).all() and np.isfinite(t_hi[110:120]).all()
 
 
 class TestNormalization:
@@ -418,9 +450,10 @@ class TestSampling:
             return score(self, X)
 
         monkeypatch.setattr(mechanism._Scorer, "q", counting_score)
-        # One chain: every score call but the per-step level is a proposal.
+        # One chain: the start state is scored once, then each proposal once
+        # (the accepted proposal's score is the next step's level).
         _, diag = sample_chain(TV_INSTANCE, TV_CFG, 200, n_chains=1)
-        assert diag["proposals"] == len(calls) - diag["steps"]
+        assert len(calls) == 1 + diag["proposals"]
         # Many chains: chains that have already settled are not counted, so
         # the total lies strictly below chains x lockstep rounds.
         calls.clear()
@@ -428,7 +461,7 @@ class TestSampling:
         _, diag = sample_chain(TV_INSTANCE, cfg, 400, n_chains=40)
         chain_steps = diag["chains"] * diag["steps"]
         assert chain_steps <= diag["proposals"] <= chain_steps * diag["worst_rejection_rounds"]
-        assert diag["proposals"] < diag["chains"] * (len(calls) - diag["steps"])
+        assert diag["proposals"] < diag["chains"] * (len(calls) - 1)
         assert 0.0 < diag["accept_rate"] <= 1.0
         assert diag["accept_rate"] == chain_steps / diag["proposals"]
 
@@ -479,6 +512,71 @@ class TestSampling:
     def test_bad_sample_arguments(self):
         with pytest.raises(MechanismError):
             sample_chain(TV_INSTANCE, TV_CFG, 0)
+
+
+class TestCarriedScore:
+    """The driver scores the start states once and then carries each chain's
+    accepted score; what it returns must be the bits of a fresh score."""
+
+    inst = normalized_instance(np.random.default_rng(8).uniform(0.1, 1.0, (120, 4)))
+    cfg = MechanismConfig(gamma=0.5, epsilon_priv=2.0, chain_steps=300, burn_in=0, seed=3)
+
+    @staticmethod
+    def carried_and_fresh(scorer, cfg, X0, crn_width=None):
+        _, X, q, _ = mechanism._hit_and_run(scorer, cfg, X0, cfg.chain_steps,
+                                            np.random.default_rng(cfg.seed),
+                                            crn_width=crn_width)
+        return q.tobytes(), scorer.q(X).tobytes()
+
+    @pytest.mark.parametrize("chains", [1, 40])
+    @pytest.mark.parametrize("steps", [1, 300])
+    def test_carried_score_is_a_fresh_score(self, chains, steps):
+        fs = FeasibleSet(self.inst.n, self.inst.k, self.cfg.gamma)
+        scorer = mechanism._Scorer(self.inst.utilities, fs)
+        X0 = fs.uniform(np.random.default_rng(1), chains)
+        carried, fresh = self.carried_and_fresh(scorer, replace(self.cfg, chain_steps=steps), X0)
+        assert carried == fresh
+
+    def test_paired_sweep_carried_score_is_a_fresh_score(self):
+        inst, trials = normalize_instance(gen_synthetic("figure2a", n=30)), 5
+        reports = np.array([inst.utilities[0], [1.0, 0.0], [0.3, 0.7]])
+        fs = FeasibleSet(inst.n, inst.k, self.cfg.gamma)
+        scorer = mechanism._Scorer(inst.utilities, fs, agent=0,
+                                   override=np.repeat(reports, trials, axis=0))
+        X0 = np.tile(fs.uniform(np.random.default_rng(2), trials), (len(reports), 1))
+        carried, fresh = self.carried_and_fresh(scorer, self.cfg, X0, crn_width=trials)
+        assert carried == fresh
+
+    def test_clipped_steps_are_scored_again(self, monkeypatch):
+        # A chord that overshoots its upper end by 1e-2 of its length lets some
+        # accepted proposals leave the set, so the floor clip or the budget
+        # rescale moves them and the batch must be scored afresh.
+        chord = FeasibleSet.chord
+
+        def overshooting(self, X, D):
+            t_lo, t_hi = chord(self, X, D)
+            return t_lo, t_hi + 1e-2 * (t_hi - t_lo)
+
+        calls = []
+        score = mechanism._Scorer.q
+
+        def counting_score(self, X):
+            calls.append(len(X))
+            return score(self, X)
+
+        monkeypatch.setattr(FeasibleSet, "chord", overshooting)
+        monkeypatch.setattr(mechanism._Scorer, "q", counting_score)
+        # A peaked density sits at the budget face, where overshoots are accepted.
+        cfg = MechanismConfig(gamma=0.8, epsilon_priv=50.0, chain_steps=400, seed=5)
+        draw, diag = sample_mechanism(TV_INSTANCE, cfg)
+        rescored = len(calls) - 1 - diag["proposals"]
+        assert rescored > 0, rescored
+        assert diag["score"] == score_q(TV_INSTANCE, draw.x, cfg)
+        fs = FeasibleSet(self.inst.n, self.inst.k, self.cfg.gamma)
+        scorer = mechanism._Scorer(self.inst.utilities, fs)
+        X0 = fs.uniform(np.random.default_rng(4), 40)
+        carried, fresh = self.carried_and_fresh(scorer, self.cfg, X0)
+        assert carried == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +632,7 @@ class TestManipulation:
 
         def spy(*args, **kwargs):
             out = run(*args, **kwargs)
-            diags.append(out[2])
+            diags.append(out[3])
             return out
 
         monkeypatch.setattr(mechanism, "_hit_and_run", spy)

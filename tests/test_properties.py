@@ -3,7 +3,8 @@ agree, its outputs pass the continuous oracle, the saturating heuristic's
 convergence claim holds on the ballots, both solvers are invariant under
 permuting voters or items and under repeating every voter, both scale with
 budget and sizes (the equilibrium solver also where items outnumber voters),
-votes files round-trip, and sampler states stay feasible.
+both deviation oracles block the same allocations whatever the voter and item
+order, votes files round-trip, and sampler states stay feasible.
 
 Instances are small approval-style profiles, some with items nobody values,
 so that solver outputs keep items at the spend floor; the examples are
@@ -19,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetcore.ballots import parse_votes, write_votes
-from budgetcore.coreverify import certify_from_residual, find_deviation_continuous
+from budgetcore.coreverify import (
+    certify_from_residual,
+    find_deviation_continuous,
+    find_deviation_integral,
+)
 from budgetcore.lindahl import SolverConfig, solve_potential
 from budgetcore.mechanism import FeasibleSet, MechanismConfig, sample_chain
 from budgetcore.model import Instance, Linear, PowerSum, SmoothedSaturating
@@ -129,6 +134,60 @@ def test_heuristic_is_invariant_under_relabeling_repetition_and_scale(data):
     for sub, want in cases:
         np.testing.assert_allclose(heuristic_solve(sub, cfg).x.x, want, rtol=0,
                                    atol=1e-7 * sub.budget)
+
+
+def in_original_labels(dev, voters, items):
+    """A deviation found on ``reindexed(inst, voters, items)``: its coalition
+    and its spend vector in ``inst``'s own labels."""
+    y = np.empty(len(items))
+    y[items] = dev.y.x
+    return voters[list(dev.coalition)], y
+
+
+@PROPERTY
+@given(data=st.data())
+def test_continuous_oracle_is_invariant_under_relabeling(data):
+    inst = data.draw(instances(max_k=4))
+    model = data.draw(models(inst))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = inst.budget * rng.dirichlet(np.full(inst.k, data.draw(st.sampled_from([0.3, 3.0]))))
+    Ux = model.utilities_all(x)
+    mode = data.draw(st.sampled_from(["additive", "multiplicative"]))
+    threshold = data.draw(st.sampled_from([1e-3, 0.3, 1.0])) * (
+        Ux.max() if mode == "additive" else 1.0)
+    kw = dict(grid_steps=12, mode=mode, threshold=threshold)
+    blocked = find_deviation_continuous(inst, model, x, **kw) is not None
+    for voters, items in relabelings(data, inst)[:2]:
+        sub = reindexed(inst, voters, items)
+        dev = find_deviation_continuous(sub, same_family(model, sub, items), x[items], **kw)
+        assert (dev is not None) == blocked
+        if dev is not None:
+            members, y = in_original_labels(dev, voters, items)
+            assert y.sum() <= len(members) / inst.n * inst.budget * (1 + 1e-12)
+            Uy = model.utilities_all(y)[members]
+            if mode == "additive":
+                assert np.all(Uy - Ux[members] > threshold)
+            else:
+                assert np.all(Uy > (1 + threshold) * Ux[members])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_integral_oracle_is_invariant_under_relabeling(data):
+    inst = data.draw(instances(max_n=12, max_k=8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = inst.sizes * np.minimum(rng.uniform(0.0, 1.5, inst.k), 1.0)
+    eps = data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+    blocked = find_deviation_integral(inst, x, eps) is not None
+    Ux = inst.utilities @ np.minimum(x / inst.sizes, 1.0)
+    for voters, items in relabelings(data, inst)[:2]:
+        dev = find_deviation_integral(reindexed(inst, voters, items), x[items], eps)
+        assert (dev is not None) == blocked
+        if dev is not None:
+            members, y = in_original_labels(dev, voters, items)
+            assert y.sum() <= len(members) / inst.n * inst.budget
+            Uy = inst.utilities[members] @ (y > 0)
+            assert np.all(Uy > (1 + eps) * Ux[members])
 
 
 @PROPERTY
