@@ -208,7 +208,7 @@ def find_deviation_continuous(
             need = bar + Ux if mode == "additive" else np.where(Ux > 0, bar * Ux, 0.0)
             slack = _PRUNE_RTOL * (abs(bar) * (1 + Ux) + Ux)
             c = (need - slack) / model.utilities_batch(unit)
-        crossing = np.sort(np.where(np.isnan(c), np.inf, c), axis=1)
+        crossing = np.sort(c, axis=1)
     best: Optional[Deviation] = None
     best_gain = -np.inf
 

@@ -63,7 +63,6 @@ __all__ = [
     "solve_potential",
 ]
 
-_ARMIJO_SLOPE = 1e-4
 # Steps are judged by Phi above this violation and by the violation below it.
 _HANDOVER = 1e-3
 _MAX_HALVINGS = 60
@@ -166,14 +165,13 @@ def solve_potential(
     the free items (funded, or pushed off the floor by g > 0) and the others
     stay put.  The first trial step lets no voter's u_i . z fall by more than
     99% to first order, and is halved up to 60 times.  While the violation is
-    above 1e-3 the first step that raises Phi by the Armijo amount is taken;
-    below that, or when Phi cannot tell a step from rounding (its magnitude
-    grows with n while the gains shrink), the first step that lowers the
-    violation.  When no Newton step is accepted g/h is tried, h the negated
-    Hessian's diagonal (g has units 1/B and h 1/B^2, so g/h has z's units at
-    any B), and when that fails too the solve stops.  The bound at B keeps a
-    smoothed item, whose spend grows like z^(1/eps) past its cap, from
-    leaping far beyond the budget.
+    above 1e-3 the first step that raises Phi is taken; below that, or when
+    Phi cannot tell a step from rounding (its magnitude grows with n while the
+    gains shrink), the first step that lowers the violation.  When no Newton
+    step is accepted g/h is tried, h the negated Hessian's diagonal (g has
+    units 1/B and h 1/B^2, so g/h has z's units at any B), and when that fails
+    too the solve stops.  The bound at B keeps a smoothed item, whose spend
+    grows like z^(1/eps) past its cap, from leaping far beyond the budget.
     Converged means the equilibrium condition holds to ``residual_tol``
     (two-sided on funded items, one-sided on unfunded ones).  Hard saturating
     models have no marginal-spend maps and raise :class:`ModelError` before
@@ -215,7 +213,7 @@ def solve_potential(
             trial = evaluate(z_new)
             phi_new, viol_new = trial[:2]
             if by_phi:
-                ok = phi_new - phi > max(_ARMIJO_SLOPE * float(g @ (z_new - z)), 0.0)
+                ok = phi_new > phi
             else:
                 ok = viol_new < viol
             if ok and np.isfinite(phi_new) and np.isfinite(viol_new):
@@ -233,11 +231,7 @@ def solve_potential(
         free = _funded(model.x_of_z(z), B) | (g > 0)
         if np.any(free):
             A = M[np.ix_(free, free)]
-            diag = h[free]
-            # Relative damping keeps A regular at any scale of z; an item that
-            # nobody values and has no curvature gets the mean, and so a long
-            # step toward the floor.
-            A[np.diag_indices_from(A)] = diag + 1e-14 * np.where(diag > 0, diag, diag.mean())
+            A[np.diag_indices_from(A)] = h[free]
             try:
                 df = np.linalg.solve(A, g[free])
                 if np.all(np.isfinite(df)) and float(df @ g[free]) > 0:

@@ -243,7 +243,7 @@ class PowerSum(_ScalarSeparable):
             a = np.full(self.k, a[0])
         if a.size != self.k:
             raise ModelError(f"alpha has length {a.size}, expected {self.k}")
-        if np.any(a <= 0) or np.any(a > 1):
+        if not np.all((a > 0) & (a <= 1)):  # NaN fails both comparisons
             raise ModelError("power exponents must lie in (0, 1]")
         self.alpha = _readonly(a)
         self.homogeneous = bool(np.all(a == 1.0))
@@ -312,7 +312,7 @@ class CobbDouglas(UtilityModel):
     def _log_x(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.where(X > 0, np.log(np.maximum(X, 1e-300)), _LOG_ZERO)
+            return np.where(X > 0, np.log(X), _LOG_ZERO)
 
     def utilities_batch(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self._log_x(X) @ self.u.T)

@@ -602,6 +602,25 @@ class TestErrors:
         assert err["error"]["type"] == "ModelError"
         assert "'alpah'" in err["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["solve", "check-core"])
+    def test_nan_exponent_is_an_error_report(self, capsys, tmp_path, command):
+        # json reads NaN, which fails both comparisons of a bounds check: it
+        # once passed as an exponent, check-core then reported no deviation
+        # and solve failed only after solving.
+        rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
+                      "--out", str(tmp_path / "gen"))
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps({"utility_model": {"family": "powersum",
+                                                        "alpha": float("nan")}}))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"x": [0.8, 0.2]}))
+        extra = ["--allocation", str(alloc)] if command == "check-core" else []
+        rc, err = run(capsys, command, "--votes", rep["artifacts"]["votes_csv"], *extra,
+                      "--config", str(config), "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert err["error"] == {"type": "ModelError",
+                                "message": "power exponents must lie in (0, 1]"}
+
     @pytest.mark.parametrize("command, patch, error, named", [
         pytest.param("solve-sat", {"heuristic": {"max_sweeps": 0}}, "ValueError",
                      "max_sweeps", id="max_sweeps-0"),

@@ -22,6 +22,7 @@ from budgetcore.coreverify import (
     certify_from_residual,
     find_deviation_continuous,
     find_deviation_integral,
+    residual_certificate,
 )
 from budgetcore.lindahl import solve_potential
 from budgetcore.model import (
@@ -175,13 +176,23 @@ class TestCertificate:
         assert cert.guarantee.startswith("unavailable: voter 4 ")
 
     def test_non_finite_residual_certifies_nothing(self):
-        # x_2 = 0 with alpha < 1 puts 0 * inf = NaN into voter 0's gradient.
+        # x_1 = 0 with alpha < 1 makes voter 1's slope on item 1, and so its
+        # residual, infinite.
         inst = Instance(utilities=np.array([[1.0, 0.0], [0.5, 0.5]]), budget=1.0)
         model = PowerSum(inst.utilities, 0.5)
-        with np.errstate(invalid="ignore"):
-            cert = certify_from_residual(inst, model, np.array([1.0, 0.0]))
+        cert = certify_from_residual(inst, model, np.array([1.0, 0.0]))
         assert cert.epsilon == np.inf
         assert not cert.budget_ok
+        # A NaN residual certifies nothing either: it must not read as eps NaN.
+        cert = residual_certificate(np.array([0.0, np.nan]), np.array([1.0, 0.0]), 1.0)
+        assert cert.epsilon == np.inf
+        assert not cert.budget_ok
+
+    def test_spend_one_ulp_over_the_cap_is_ok(self):
+        # 0.1 + 0.2 rounds to one ulp above 0.3, the cap at eps = 0.
+        cert = residual_certificate(np.zeros(2), np.array([0.1, 0.2]), 0.3)
+        assert cert.epsilon == 0.0 and cert.budget_total > cert.budget_cap
+        assert cert.budget_ok
 
 
 class TestContinuousOracle:

@@ -5,8 +5,9 @@ name to one of its functions, every ``__all__`` entry is named by the package,
 the benchmark or the acceptance gate (bar a listed few) and an ``__init__``
 entry is read there through the package itself, so no name has a second import
 path, every defaulted parameter of a private function is passed somewhere,
-every config field rejects a bool, importing the CLI leaves scipy unloaded, and
-``analyze`` loads no ``scipy.stats``."""
+every config field rejects a bool, importing the CLI leaves scipy unloaded,
+``analyze`` loads no ``scipy.stats``, and every mutant in ``tests/mutants.py``
+still finds its text exactly once."""
 
 import ast
 import dataclasses
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import budgetcore
+import mutants
 from budgetcore.lindahl import SolverConfig
 from budgetcore.mechanism import MechanismConfig
 from budgetcore.saturating import HeuristicConfig
@@ -236,3 +238,8 @@ def test_chi2_pairwise_loads_no_scipy_stats():
     loaded = loaded_scipy_modules(code)
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_mutants_apply_once():
+    # A mutant whose text the source no longer holds would be skipped silently.
+    assert mutants.stale() == []

@@ -13,6 +13,7 @@ Reference points used here, all derivable by hand:
 ``solve_potential``, the one equilibrium entry point, must reach each of them.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -39,6 +40,8 @@ from budgetcore.model import (
     allocation_vector,
     make_model,
 )
+
+from corpora import CORPORA, family, scaled, smoothed, solve_counted
 
 
 def disjoint_instance(counts, budget=1.0):
@@ -92,6 +95,10 @@ class TestResiduals:
         inst = Instance(utilities=[[1.0, 0.0], [0.0, 1.0]], budget=1.0)
         with pytest.raises(DegenerateAgentError, match="voter 1"):
             lindahl_residuals(inst, Linear(inst.utilities), np.array([1.0, 0.0]))
+        # An infinite spend leaves u_i . z no finite value to divide by either.
+        inst = Instance(utilities=[[1.0, 0.5], [0.5, 1.0]], budget=1.0)
+        with pytest.raises(DegenerateAgentError, match="voter 0"):
+            lindahl_residuals(inst, Linear(inst.utilities), np.array([np.inf, 1.0]))
 
     def test_power_sum_zero_spend_is_infinite_not_nan(self):
         # Voter 1's marginal value of the unfunded item is infinite; voter 0
@@ -312,22 +319,43 @@ class TestPotentialSolver:
         np.testing.assert_allclose(result.x.x / budget, np.eye(7)[5], rtol=0, atol=1e-9)
 
     def test_smoothed_steps_stay_within_the_budget(self):
-        # Draw 21 of this generator (n=18, k=42, B = 0.2715): past its cap a
-        # smoothed item's spend grows like z^(1/eps), and a step that sent one
-        # far past B once took over 200 iterations to drain.
-        rng = np.random.default_rng(1)
-        for _ in range(22):
-            n, k = rng.integers(2, 30), rng.integers(2, 60)
-            u = rng.random((n, k)) * (rng.random((n, k)) < rng.uniform(0.3, 0.9))
-            for i in np.flatnonzero(u.max(axis=1) == 0):
-                u[i, rng.integers(k)] = rng.random() + 0.1
-            budget = 10 ** rng.uniform(-3, 9)
-            sizes = budget * rng.uniform(0.02, 0.5, k)
-        assert (n, k) == (18, 42)
-        inst = Instance(utilities=u, budget=budget, sizes=sizes)
-        result = solve_potential(inst, SmoothedSaturating(u, sizes, 0.1))
+        # Draw 21 of the smoothed corpus (n=18, k=42, B = 0.2715): past its cap
+        # a smoothed item's spend grows like z^(1/eps), and a step that sent
+        # one far past B once took over 200 iterations to drain.
+        inst, model = next(itertools.islice(smoothed(1), 21, None))
+        assert (inst.n, inst.k) == (18, 42)
+        result = solve_potential(inst, model)
         assert result.converged
         assert result.iterations <= 60
+
+    def test_a_step_that_leaves_phi_unchanged_is_refused(self):
+        # Draw 232 of scaled(0) (n=54, k=6, one exponent per item): a step
+        # accepted with Phi unchanged is tried again from the same point until
+        # max_iters.
+        inst, model = next(itertools.islice(scaled(0), 232, None))
+        assert (inst.n, inst.k) == (54, 6)
+        result = solve_potential(inst, model, SolverConfig(max_iters=100))
+        assert result.converged
+
+
+# Draws 100-149 of each stress corpus at its first seed, and their ratio
+# calls per family when this slice was committed.  Judging steps by Phi down
+# to a violation of 1e-1 stops smoothed draw 110 unconverged; never judging
+# them by the violation above 1e-3 stops scaled draw 112; judging every step
+# by Phi first more than doubles the power-sum calls.
+CORPUS_SLICE = (100, 150)
+SLICE_RATIO_CALLS = {"linear": 4_646, "powersum": 445, "smoothed": 6_768}
+
+
+def test_corpus_slice_converges_within_its_work():
+    calls = dict.fromkeys(SLICE_RATIO_CALLS, 0)
+    for draw, seeds in CORPORA.values():
+        for inst, model in itertools.islice(draw(seeds[0]), *CORPUS_SLICE):
+            result, made = solve_counted(inst, model)
+            assert result.converged
+            calls[family(model)] += made
+    over = {f: calls[f] for f, bound in SLICE_RATIO_CALLS.items() if calls[f] > 1.25 * bound}
+    assert over == {}
 
 
 # ---------------------------------------------------------------------------

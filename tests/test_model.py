@@ -74,8 +74,9 @@ class TestInstance:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="length"):
             Instance(utilities=[[1.0, 1.0]], budget=1.0, sizes=[1.0])
-        with pytest.raises(ValueError, match="positive"):
-            Instance(utilities=[[1.0, 1.0]], budget=1.0, sizes=[1.0, 0.0])
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Instance(utilities=[[1.0, 1.0]], budget=1.0, sizes=[1.0, bad])
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
@@ -242,8 +243,10 @@ class TestCobbDouglas:
         assert m.utilities_all(np.array([2.0, 0.0])) == pytest.approx([2.0])
 
     def test_zero_spend_with_positive_exponent(self):
-        m = CobbDouglas(np.array([[0.5, 0.5]]))
-        assert m.utilities_all(np.array([1.0, 0.0])) == pytest.approx([0.0])
+        # Exactly 0 down to an exponent of 1e-5: log(0)'s stand-in underflows.
+        for a in (0.5, 1e-5):
+            m = CobbDouglas(np.array([[1.0 - a, a]]))
+            assert m.utilities_all(np.array([1.0, 0.0])).tolist() == [0.0]
 
     def test_gradient_matches_finite_differences(self):
         m = CobbDouglas(self.exponents())

@@ -3,8 +3,9 @@ agree, its outputs pass the continuous oracle, the saturating heuristic's
 convergence claim holds on the ballots, both solvers are invariant under
 permuting voters or items and under repeating every voter, both scale with
 budget and sizes (the equilibrium solver also where items outnumber voters),
-both deviation oracles block the same allocations whatever the voter and item
-order, votes files round-trip, and sampler states stay feasible.
+both deviation oracles block the same allocations and the core certificate
+gives the same bound whatever the voter and item order and with every voter
+repeated, votes files round-trip, and sampler states stay feasible.
 
 Instances are small approval-style profiles, some with items nobody values,
 so that solver outputs keep items at the spend floor; the examples are
@@ -16,6 +17,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,13 +159,13 @@ def test_continuous_oracle_is_invariant_under_relabeling(data):
         Ux.max() if mode == "additive" else 1.0)
     kw = dict(grid_steps=12, mode=mode, threshold=threshold)
     blocked = find_deviation_continuous(inst, model, x, **kw) is not None
-    for voters, items in relabelings(data, inst)[:2]:
+    for voters, items in relabelings(data, inst):
         sub = reindexed(inst, voters, items)
         dev = find_deviation_continuous(sub, same_family(model, sub, items), x[items], **kw)
         assert (dev is not None) == blocked
         if dev is not None:
             members, y = in_original_labels(dev, voters, items)
-            assert y.sum() <= len(members) / inst.n * inst.budget * (1 + 1e-12)
+            assert y.sum() <= len(members) / sub.n * inst.budget * (1 + 1e-12)
             Uy = model.utilities_all(y)[members]
             if mode == "additive":
                 assert np.all(Uy - Ux[members] > threshold)
@@ -174,20 +176,41 @@ def test_continuous_oracle_is_invariant_under_relabeling(data):
 @PROPERTY
 @given(data=st.data())
 def test_integral_oracle_is_invariant_under_relabeling(data):
-    inst = data.draw(instances(max_n=12, max_k=8))
+    inst = data.draw(instances(max_n=10, max_k=8))  # n <= 20 with every voter twice
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = inst.sizes * np.minimum(rng.uniform(0.0, 1.5, inst.k), 1.0)
     eps = data.draw(st.sampled_from([0.0, 0.05, 0.5]))
     blocked = find_deviation_integral(inst, x, eps) is not None
     Ux = inst.utilities @ np.minimum(x / inst.sizes, 1.0)
-    for voters, items in relabelings(data, inst)[:2]:
+    for voters, items in relabelings(data, inst):
         dev = find_deviation_integral(reindexed(inst, voters, items), x[items], eps)
         assert (dev is not None) == blocked
         if dev is not None:
             members, y = in_original_labels(dev, voters, items)
-            assert y.sum() <= len(members) / inst.n * inst.budget
+            assert y.sum() <= len(members) / len(voters) * inst.budget
             Uy = inst.utilities[members] @ (y > 0)
             assert np.all(Uy > (1 + eps) * Ux[members])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_certificate_is_invariant_under_relabeling_and_repetition(data):
+    # At the solver's output and at a random spend, where eps is often >= 1.
+    inst = data.draw(instances())
+    model = data.draw(models(inst))
+    if data.draw(st.booleans()):
+        x = solve_potential(inst, model).x.x
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = inst.budget * rng.dirichlet(np.full(inst.k, data.draw(st.sampled_from([0.3, 3.0]))))
+    cert = certify_from_residual(inst, model, x)
+    for voters, items in relabelings(data, inst):
+        sub = reindexed(inst, voters, items)
+        got = certify_from_residual(sub, same_family(model, sub, items), x[items])
+        assert got.budget_ok == cert.budget_ok
+        assert got.epsilon == pytest.approx(cert.epsilon, rel=1e-9, abs=1e-12)
+        assert [got.budget_total, got.budget_cap] == pytest.approx(
+            [cert.budget_total, cert.budget_cap], rel=1e-12)
 
 
 @PROPERTY
