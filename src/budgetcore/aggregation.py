@@ -81,11 +81,6 @@ def vote_counts(inst: Instance) -> np.ndarray:
     return (inst.utilities > 0).sum(axis=0)
 
 
-def _descending_order(scores: np.ndarray) -> np.ndarray:
-    # Stable descending sort; equal scores fall back to lower item index.
-    return np.lexsort((np.arange(scores.size), -scores))
-
-
 def rank_and_round(
     inst: Instance,
     scheme: Union[Scheme, str],
@@ -109,7 +104,7 @@ def rank_and_round(
     else:
         scores = vote_counts(inst) / sizes
 
-    order = _descending_order(scores)
+    order = np.argsort(-scores, kind="stable")  # equal scores keep the lower index first
     budget = inst.budget
     slack = _FIT_RTOL * max(budget, 1.0)
 
@@ -222,10 +217,8 @@ def chi2_pairwise(inst: Instance, dof: int = 2, alpha: float = 0.1) -> Independe
     p_values = np.full((k, k), np.nan)
     p_values[j, m] = p_values[m, j] = chdtrc(dof, np.array(stats, dtype=float))
 
-    correlated = np.zeros((k, k), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        mask = p_values < alpha
-    correlated[np.isfinite(p_values)] = mask[np.isfinite(p_values)]
+    with np.errstate(invalid="ignore"):  # an untested pair's NaN compares False
+        correlated = p_values < alpha
 
     kept = np.flatnonzero(~degenerate)
     merges: list = []
@@ -288,8 +281,8 @@ def random_model_trial(
     k = p.size
     if u.shape != (k,):
         raise AggregationError("p and u must have matching length")
-    if np.any((p < 0) | (p > 1)):
-        raise AggregationError("approval probabilities must lie in [0, 1]")
+    if not (np.all((p >= 0) & (p <= 1)) and np.any(p > 0)):  # all 0: no ballot ever fills
+        raise AggregationError("approval probabilities must lie in [0, 1], not all 0")
     if np.any(u <= 0):
         raise AggregationError("item utilities must be positive")
     if not 1 <= budget_items <= k:
@@ -302,7 +295,7 @@ def random_model_trial(
     # gain nor block; redraw them so the instance stays well-formed at fixed n.
     votes = _redraw_empty(rng.random((n, k)) < p, rng, p)
 
-    selected = _descending_order(p * u)[:budget_items]
+    selected = np.argsort(-(p * u), kind="stable")[:budget_items]
     x = np.zeros(k)
     x[selected] = 1.0
     inst = Instance(

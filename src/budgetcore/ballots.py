@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 import re
 from itertools import chain
 from pathlib import Path
@@ -244,8 +245,8 @@ def _k_approval(n, k, rng, params):
     are drawn once per instance as a fraction of the budget."""
     if k is None or k < 1:
         raise BallotError("k-approval needs k >= 1")
-    approvals = int(params.pop("approvals", 4))
-    if not 1 <= approvals <= k:
+    approvals = params.pop("approvals", 4)
+    if not (isinstance(approvals, numbers.Integral) and 1 <= approvals <= k):
         raise BallotError(f"approvals must lie in [1, k], got {approvals}")
     picks = np.empty((n, approvals), dtype=np.intp)
     for i in range(n):

@@ -303,7 +303,7 @@ def _read_allocation(path, k: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):
-        raw = raw.get("x", raw.get("allocation"))
+        raw = raw.get("x")
     try:
         x = Allocation(np.asarray(raw, dtype=float)).x
     except (TypeError, ValueError) as e:
@@ -357,7 +357,7 @@ def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -
     core_fill = core.fractional.x / sizes
     welfare_fill = welfare.fractional.x / sizes
     table_path = out_dir / "compare.csv"
-    order = np.lexsort((np.arange(inst.k), -core_fill))
+    order = np.argsort(-core_fill, kind="stable")
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("Project,Budget,Votes,Core,Welfare\n")
         for j in order:

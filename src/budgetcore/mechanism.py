@@ -264,7 +264,7 @@ def privacy_precondition_ok(n: int, k: int, epsilon: float) -> bool:
     The high-probability bound on the sampled allocation's quality needs
     1/epsilon > k*n / ((n - k^2) * ln n); in particular n must exceed k^2.
     """
-    if n <= k * k or n < 2:
+    if n <= k * k:
         return False
     return 1.0 / epsilon > k * n / ((n - k * k) * math.log(n))
 
@@ -338,13 +338,6 @@ def proportional_fairness_point(
 # ---------------------------------------------------------------------------
 
 
-def _tile(a: np.ndarray, chains: int, width: int) -> np.ndarray:
-    if width == chains:
-        return a
-    reps = (chains // width,) + (1,) * (a.ndim - 1)
-    return np.tile(a, reps)
-
-
 def _hit_and_run(
     scorer: _Scorer,
     cfg: MechanismConfig,
@@ -377,8 +370,6 @@ def _hit_and_run(
     X = np.array(X0, dtype=float)
     chains, k = X.shape
     width = crn_width or chains
-    if chains % width != 0:
-        raise MechanismError("chain count must be a multiple of the random-draw width")
     lb = fs.lower_bound
     reps, all_chains = chains // width, np.ones(chains, dtype=bool)
     kept: list[np.ndarray] = []
@@ -406,7 +397,7 @@ def _hit_and_run(
                 )
             if rounds == _ROUNDS:  # past the block's uniforms: the step's own stream
                 step_rng = np.random.default_rng(seeds[s])
-            u = Us[s, rounds] if rounds < _ROUNDS else _tile(step_rng.random(width), chains, width)
+            u = Us[s, rounds] if rounds < _ROUNDS else np.tile(step_rng.random(width), reps)
             t = a + u * (b - a)
             # Score every chain, settled or not: paired chains must see
             # bitwise-identical arithmetic.
@@ -545,12 +536,11 @@ def manipulation_sweep(
     norm, fs, rng, X0 = _start(inst, cfg, trials)
     reports = np.vstack([norm.utilities[agent][None, :], R])
     variants = reports.shape[0]
-    chains = variants * trials
     scorer = _Scorer(
         norm.utilities, fs, agent=agent, override=np.repeat(reports, trials, axis=0)
     )
     samples, _, _, _ = _hit_and_run(
-        scorer, cfg, _tile(X0, chains, trials), cfg.chain_steps, rng,
+        scorer, cfg, np.tile(X0, (variants, 1)), cfg.chain_steps, rng,
         keep=range(cfg.burn_in, cfg.chain_steps), crn_width=trials,
     )
     # samples: (kept_steps, variants * trials, k); average the agent's true

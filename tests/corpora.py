@@ -11,6 +11,11 @@
   scales 10^U(-4, 4), B = 10^U(-3, 9) and sizes B U(0.02, 0.5); linear,
   power-sum (one exponent, or one per item, each U(0.2, 1)) and smoothed 0.1
   in turn.  Seeds 0-2 are the set.
+* ``saturating(seed)``: 600 draws for ``heuristic_solve`` with n in [5, 60),
+  k in [2, 5), 0/1 approvals on a density U(0.2, 0.8) (on half the draws
+  times U(0.1, 1) weights; a voter left with none approves one item), sizes
+  U(0.05, 0.5) and B = 1.  It yields only the draws whose sizes overfill the
+  budget, with their draw index.  Seed 11 is the set.
 * ``elections()``: ``gen`` k-approval elections, the README demo (n=40, k=8),
   n=2054 k=10 and n=20000 k=30 (seeds 1-3), each under linear, power-sum 0.5
   and smoothed 0.1: the 15 solves of the benchmark's ``election`` workload.
@@ -18,7 +23,11 @@
 ``solve_counted`` runs one solve and counts its ``ratio`` calls, the solver's
 unit of work.  ``python tests/corpora.py`` solves every set and prints, per
 corpus and family, the unconverged count, iteration percentiles and ``ratio``
-calls, and each election solve's iterations.
+calls, and each election solve's iterations.  For the saturating set it runs
+``heuristic_solve`` at ``eps_target`` 1e-9 and prints the binding, converged
+and blocked counts, the blocked draws (continuous oracle, saturating,
+multiplicative, threshold 1e-3, grid 40), and each unconverged draw's sweeps
+and the sweep of its best violation.  It takes about 30 s.
 """
 
 from __future__ import annotations
@@ -32,12 +41,17 @@ if __name__ == "__main__":  # run as a script: import the package of this checko
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from budgetcore.ballots import gen_synthetic
+from budgetcore.coreverify import find_deviation_continuous
 from budgetcore.lindahl import solve_potential
-from budgetcore.model import Instance, Linear, PowerSum, SmoothedSaturating, make_model
+from budgetcore.model import (
+    Instance, Linear, PowerSum, Saturating, SmoothedSaturating, make_model,
+)
+from budgetcore.saturating import HeuristicConfig, heuristic_solve
 
 SWEEP_DRAWS = 1000
 SMOOTHED_DRAWS = 500
 SCALED_DRAWS = 1000
+SATURATING_DRAWS = 600
 
 
 def _draw(rng):
@@ -88,6 +102,21 @@ def scaled(seed: int):
         yield Instance(utilities=u, budget=budget, sizes=sizes), model
 
 
+def saturating(seed: int):
+    """(draw index, instance) for the draws whose sizes overfill B = 1."""
+    rng = np.random.default_rng(seed)
+    for t in range(SATURATING_DRAWS):
+        n, k = int(rng.integers(5, 60)), int(rng.integers(2, 5))
+        u = (rng.random((n, k)) < rng.uniform(0.2, 0.8)).astype(float)
+        if rng.random() < 0.5:
+            u *= rng.uniform(0.1, 1.0, size=(n, k))
+        for i in np.flatnonzero(u.max(axis=1) == 0):
+            u[i, rng.integers(k)] = 1.0
+        sizes = rng.uniform(0.05, 0.5, size=k)
+        if sizes.sum() > 1.0:
+            yield t, Instance(utilities=u, budget=1.0, sizes=sizes)
+
+
 ELECTIONS = [(40, 8, 2, 1000.0), (2054, 10, 2, 1e6)] + [(20000, 30, s, 1e6) for s in (1, 2, 3)]
 FAMILIES = [("linear", {}), ("powersum", {"alpha": 0.5}), ("smoothed", {"eps_smooth": 0.1})]
 
@@ -122,13 +151,40 @@ def solve_counted(inst, model):
     return result, calls
 
 
-# Each corpus: its generator and seeds.
-CORPORA = {"sweep": (sweep, (1, 2)), "smoothed": (smoothed, (1,)), "scaled": (scaled, (0, 1, 2))}
+# Each corpus: its generator and seeds.  The saturating set is for
+# heuristic_solve; the others are for solve_potential.
+CORPORA = {"sweep": (sweep, (1, 2)), "smoothed": (smoothed, (1,)), "scaled": (scaled, (0, 1, 2)),
+           "saturating": (saturating, (11,))}
+SOLVER_CORPORA = ("sweep", "smoothed", "scaled")
+
+
+def saturating_table(seed: int) -> None:
+    """The saturating set at ``eps_target`` 1e-9: binding, converged and
+    blocked counts, and where each unconverged draw found its best sweep."""
+    binding, converged, blocked, stalls = 0, 0, [], []
+    for t, inst in saturating(seed):
+        binding += 1
+        result = heuristic_solve(inst, HeuristicConfig(eps_target=1e-9))
+        if not result.converged:
+            trace = result.max_violation_trace
+            best_sweep, best = min(trace, key=lambda sv: sv[1])
+            stalls.append(f"draw {t}: {len(trace)} sweeps, best {best:.3g} at sweep {best_sweep}")
+            continue
+        converged += 1
+        model = Saturating(inst.utilities, inst.sizes)
+        if find_deviation_continuous(inst, model, result.x, grid_steps=40,
+                                     mode="multiplicative", threshold=1e-3) is not None:
+            blocked.append(t)
+    print(f"saturating seed {seed}: {binding} binding, {converged} converged, "
+          f"{len(blocked)} blocked {blocked}")
+    for line in stalls:
+        print(f"  unconverged {line}")
 
 
 def main() -> None:
     print("corpus   family     draws  unconverged  iterations p50/p90/p99/max  ratio calls")
-    for corpus, (draw, seeds) in CORPORA.items():
+    for corpus in SOLVER_CORPORA:
+        draw, seeds = CORPORA[corpus]
         runs = {}  # family -> [(converged, iterations, ratio calls)]
         for inst, model in (pair for seed in seeds for pair in draw(seed)):
             result, calls = solve_counted(inst, model)
@@ -143,6 +199,8 @@ def main() -> None:
     for label, inst, model in elections():
         result = solve_potential(inst, model)
         print(f"  {label:<36} {result.iterations:>4}  {result.converged}")
+    for seed in CORPORA["saturating"][1]:
+        saturating_table(seed)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ partial fill of the first item that no longer fits, and the exact budget
 exhaustion of the fractional pass.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -85,6 +86,11 @@ class TestCoreRanking:
         # Equal fill-per-dollar ties break toward the lower item index.
         assert list(ranked.order) == [1, 0, 2]
         assert ranked.integral.funded_set() == frozenset({0, 1})
+        # Also past 16 items, where an unstable sort reorders ties.
+        u = np.ones((2, 40))
+        u[1, :20] = 0.0  # items 20-39 get two votes, 0-19 one
+        many = Instance(utilities=u, budget=1.0, sizes=np.ones(40))
+        assert list(rank_and_round(many, "welfare").order) == [*range(20, 40), *range(20)]
 
     def test_fractional_partial_then_stop(self):
         inst = Instance(
@@ -96,6 +102,11 @@ class TestCoreRanking:
         # Order b, a, c: b fits, a gets the remaining 1.5 of its 2.0, c nothing.
         assert ranked.fractional.x == pytest.approx([1.5, 1.0, 0.0])
         assert ranked.integral.x == pytest.approx([0.0, 1.0, 1.0])
+
+    def test_an_exact_fill_is_funded(self):
+        # 0.1 + 0.2 is one ulp over 0.3: the fit test's slack funds both.
+        inst = Instance(utilities=np.ones((4, 2)), budget=0.3, sizes=np.array([0.1, 0.2]))
+        assert rank_and_round(inst, "welfare").integral.x.tolist() == [0.1, 0.2]
 
     def test_core_requires_allocation(self):
         with pytest.raises(AggregationError, match="fractional core"):
@@ -168,6 +179,14 @@ class TestIndependenceAnalysis:
         assert np.all(off > rep.alpha)
         assert not rep.correlated.any()
 
+    def test_p_value_at_alpha_is_not_correlated(self):
+        rng = np.random.default_rng(3)
+        cols = [rng.random(100) < 0.5 for _ in range(2)]
+        p = self.analyze(cols).p_values[1, 2]
+        assert 0.0 < p < 1.0
+        assert not self.analyze(cols, alpha=p).correlated[1, 2]
+        assert self.analyze(cols, alpha=np.nextafter(p, 1.0)).correlated[1, 2]
+
     def test_dof_one_calibration(self):
         # Under independence the statistic is asymptotically chi2(1), so at
         # dof=1 the flag rate should track alpha; the dof=2 default is
@@ -194,6 +213,12 @@ class TestIndependenceAnalysis:
         assert rep.correlated[1, 2]
         # One merge over two kept leaves, at distance 0 (correlated pair).
         assert rep.merges == ((0, 1, 0.0),)
+        # A column nobody approves is constant too.  One kept column leaves
+        # nothing to cluster, and no error.
+        with pytest.warns(RuntimeWarning, match="constant approval columns"):
+            rep = chi2_pairwise(self.approvals([a, 0.0 * a]))
+        assert rep.degenerate_items == (0, 2)
+        assert rep.clustered_items == (1,) and rep.merges == ()
 
     def test_block_profile_dendrogram(self):
         inst = gen_synthetic("block-correlated", n=120, k=7, seed=0)
@@ -247,7 +272,7 @@ class TestIndependenceAnalysis:
     def test_sample_size_flag(self):
         rng = np.random.default_rng(2)
         assert not self.analyze([rng.random(19) < 0.7 for _ in range(2)]).sample_ok
-        assert self.analyze([rng.random(40) < 0.7 for _ in range(2)]).sample_ok
+        assert self.analyze([rng.random(20) < 0.7 for _ in range(2)]).sample_ok
 
     def test_dof_validation(self):
         inst = Instance(utilities=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], budget=1.0)
@@ -268,8 +293,9 @@ class TestRandomModel:
         u = np.ones(4)
         with pytest.raises(AggregationError, match="matching length"):
             random_model_trial(p, np.ones(3), 2, 10, 1.0)
-        with pytest.raises(AggregationError, match="probabilities"):
-            random_model_trial(np.array([0.5, 1.5, 0.5, 0.5]), u, 2, 10, 1.0)
+        for bad in ([0.5, 1.5, 0.5, 0.5], [0.5, np.nan, 0.5, 0.5], [0.0] * 4):
+            with pytest.raises(AggregationError, match="probabilities"):
+                random_model_trial(np.array(bad), u, 2, 10, 1.0)
         with pytest.raises(AggregationError, match="positive"):
             random_model_trial(p, np.array([1.0, 0.0, 1.0, 1.0]), 2, 10, 1.0)
         with pytest.raises(AggregationError, match="budget_items"):
@@ -285,6 +311,10 @@ class TestRandomModel:
         assert out.selected == (0, 1)
         assert out.expected_welfare == pytest.approx(1.7)
         assert out.threshold == pytest.approx(np.sqrt(2 * np.log(2)) / 0.5)
+        # At eps = sqrt(B ln B) the threshold is 1.0 exactly, as is the expected
+        # welfare of two items at p = 0.5: equal does not clear it.
+        out = random_model_trial(np.full(3, 0.5), np.ones(3), 2, 10, math.sqrt(2 * math.log(2)))
+        assert out.expected_welfare == out.threshold == 1.0 and not out.precondition_ok
 
     def test_deterministic_in_seed(self):
         p = np.full(6, 0.6)

@@ -88,6 +88,10 @@ class TestParseErrors:
         with pytest.raises(BallotError, match="must start with 'voter_id'"):
             self.parse("id,a,b\nv0,1,0\n")
 
+    def test_padded_header_parses(self):
+        matrix, names = self.parse(" voter_id , a,b \nv0,1,0\n")
+        assert names == ["a", "b"] and matrix.tolist() == [[1.0, 0.0]]
+
     def test_header_without_items(self):
         with pytest.raises(BallotError, match="no items"):
             self.parse("voter_id\nv0\n")
@@ -468,6 +472,12 @@ class TestRandomProfiles:
         assert np.all(narrow.utilities.sum(axis=1) == 2)
         with pytest.raises(BallotError, match=r"approvals must lie in \[1, k\]"):
             gen_synthetic("k-approval", n=10, k=3, approvals=5)
+
+    @pytest.mark.parametrize("approvals", [2.5, 2.0, "2", 0, 6])
+    def test_approvals_must_be_an_integer_in_range(self, approvals):
+        # int() would quietly read 2.5 as 2 approvals.
+        with pytest.raises(BallotError, match=r"approvals must lie in \[1, k\], got"):
+            gen_synthetic("k-approval", n=6, k=5, approvals=approvals)
 
     def test_sizes_scale_with_budget(self):
         a = gen_synthetic("k-approval", n=10, k=5, seed=9, budget=1.0)

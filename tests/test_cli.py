@@ -345,6 +345,15 @@ class TestCheckCore:
         assert err["error"]["type"] == "CliError"
         assert "allocation entries must be" in err["error"]["message"]
 
+    def test_allocation_of_the_wrong_length_is_an_error_report(self, capsys, tmp_path):
+        votes = self.setup_majority(capsys, tmp_path)
+        alloc = self.write_alloc(tmp_path, [0.5, 0.3, 0.2])
+        rc, err = run(capsys, "check-core", "--votes", votes, "--allocation", alloc,
+                      "--out", str(tmp_path / "chk"))
+        assert rc == 1
+        assert err["error"]["type"] == "CliError"
+        assert "allocation file has 3 entries, expected 2" in err["error"]["message"]
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_nonpositive_grid_is_an_error_report(self, capsys, tmp_path, grid):
         votes = self.setup_majority(capsys, tmp_path)
@@ -501,7 +510,7 @@ class TestMechanism:
 
 class TestCompare:
     def test_table_and_similarity(self, capsys, tmp_path):
-        votes, config = gen_k_approval(capsys, tmp_path)
+        votes, config = gen_k_approval(capsys, tmp_path, seed=4)  # fills out of item order
         rc, rep = run(capsys, "compare", "--votes", votes, "--config", config,
                       "--out", str(tmp_path / "cmp"))
         assert rc == 0
@@ -518,8 +527,11 @@ class TestCompare:
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert lines[0] == "Project,Budget,Votes,Core,Welfare"
         assert len(lines) == 9
-        core_fills = [float(line.split(",")[3]) for line in lines[1:]]
-        assert core_fills == sorted(core_fills, reverse=True)
+        # Rows by core fill, descending; ties keep the item order.
+        items = rep["config"]["items"]
+        fill = np.array(core["fractional"]["x"]) / [item["size_cents"] / 100 for item in items]
+        by_fill = sorted(range(8), key=lambda j: -fill[j])
+        assert [line.split(",")[0] for line in lines[1:]] == [items[j]["name"] for j in by_fill]
         assert len(rep["result"]["core"]["order"]) == 8
         assert rep["result"]["welfare"]["integral"]["kind"] == "integral"
 
@@ -566,6 +578,11 @@ class TestErrors:
                       "--out", str(tmp_path))
         assert rc == 1
         assert err["error"]["type"] == "FileNotFoundError"
+
+    def test_missing_votes_flag_is_an_error_report(self, capsys, tmp_path):
+        rc, err = run(capsys, "solve", "--out", str(tmp_path))
+        assert rc == 1
+        assert err["error"] == {"type": "CliError", "message": "this command needs --votes PATH"}
 
     def test_bad_config_keys(self, capsys, tmp_path):
         config = tmp_path / "bad.json"
@@ -721,6 +738,14 @@ class TestErrors:
         assert err["error"]["type"] == "BallotError"
         assert "must be a number, got True" in err["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["2.5", "two"])  # not JSON: passed on as a string
+    def test_approvals_not_an_integer_is_an_error_report(self, capsys, tmp_path, value):
+        rc, err = run(capsys, "gen", "--profile", "k-approval", "--n", "6", "--k", "5",
+                      "--param", f"approvals={value}", "--out", str(tmp_path))
+        assert rc == 1
+        assert err["error"] == {"type": "BallotError",
+                                "message": f"approvals must lie in [1, k], got {value}"}
+
     def test_bad_param_syntax(self, capsys, tmp_path):
         rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
                       "--param", "p0.5", "--out", str(tmp_path))
@@ -759,6 +784,11 @@ class TestErrors:
 
 
 class TestConfigParsing:
+    @pytest.mark.parametrize("raw", [5, None, ["budget"]])
+    def test_config_must_be_an_object(self, raw):
+        with pytest.raises(CliError, match="expected a JSON object"):
+            ElectionConfig.from_dict(raw)
+
     def test_money_parsed_to_cents(self):
         cfg = ElectionConfig.from_dict({
             "budget": 10.55,
@@ -830,6 +860,21 @@ class TestConfigParsing:
                       "--config", str(config), "--out", str(tmp_path / "s"))
         assert rc == 1
         assert "either all config items need sizes or none" in err["error"]["message"]
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "unknown item column(s) not in config: ['item_1']"),
+        ([{"name": "item_1", "size": 0.5}, {"name": "park", "size": 0.5}],
+         "config item(s) missing from votes file: ['park']"),
+    ])
+    def test_config_items_must_match_the_vote_columns(self, capsys, tmp_path, extra, message):
+        rc, rep = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
+                      "--out", str(tmp_path / "gen"))
+        config = tmp_path / "items.json"
+        config.write_text(json.dumps({"items": [{"name": "item_0", "size": 0.5}, *extra]}))
+        rc, err = run(capsys, "solve", "--votes", rep["artifacts"]["votes_csv"],
+                      "--config", str(config), "--out", str(tmp_path / "s"))
+        assert rc == 1
+        assert err["error"] == {"type": "CliError", "message": message}
 
 
 class TestVersion:

@@ -143,6 +143,19 @@ class TestFeasibleSet:
         assert fs.slack == pytest.approx(0.0)
         with pytest.raises(InfeasibleError, match="single point"):
             fs.require_interior()
+        # A floor over the budget by less than the tolerance leaves no slack,
+        # not a negative one.
+        fs = FeasibleSet(n=4, k=2, gamma=0.5 - 3e-10)
+        assert 1.0 < 2 * fs.lower_bound <= 1.0 + 1e-9
+        assert fs.slack == 0.0
+
+    @pytest.mark.parametrize("n, k, gamma, match", [
+        (0, 2, 0.5, "at least one voter"), (5, 0, 0.5, "at least one voter"),
+        (5, 2, 0.0, "gamma must lie"), (5, 2, 1.0, "gamma must lie"),
+    ])
+    def test_rejects_empty_sets_and_gamma_outside_unit_interval(self, n, k, gamma, match):
+        with pytest.raises(MechanismError, match=match):
+            FeasibleSet(n=n, k=k, gamma=gamma)
 
     def test_contains(self):
         fs = FeasibleSet(n=100, k=2, gamma=0.5)
@@ -211,6 +224,10 @@ class TestNormalization:
         inst = Instance(utilities=[[2.0, 2.0]], budget=5.0)
         with pytest.raises(MechanismError, match="normalized"):
             score_q(inst, np.array([0.4, 0.4]), MechanismConfig())
+        for raw in (Instance(utilities=[[0.5, 0.5]], budget=2.0),
+                    Instance(utilities=[[2.0, 2.0]], budget=1.0)):
+            with pytest.raises(MechanismError, match="normalized"):
+                score_q(raw, np.array([0.4, 0.4]), MechanismConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +352,12 @@ class TestFairnessPoint:
             assert value - n <= 1e-6
             q = score_q(inst, x, cfg)
             assert q == pytest.approx(n - n ** 0.5, abs=1e-6)
+
+    def test_zero_slack_returns_the_floor(self):
+        # n=4, k=2, gamma=0.5: the floor 4^-0.5 = 0.5 fills the budget.
+        inst = normalized_instance(np.random.default_rng(3).uniform(0.1, 1.0, (4, 2)))
+        x = proportional_fairness_point(inst, MechanismConfig(gamma=0.5))
+        assert x.tolist() == [0.5, 0.5]
 
     def test_majority_profile(self):
         inst = gen_synthetic("figure2a", n=50)
@@ -469,9 +492,12 @@ class TestSampling:
         cfg = MechanismConfig(gamma=0.8, epsilon_priv=400.0, chain_steps=1500,
                               burn_in=500, seed=3)
         x_star = proportional_fairness_point(TV_INSTANCE, cfg)
-        samples, _ = sample_chain(TV_INSTANCE, cfg, 4000, n_chains=50, thin=2)
+        samples, diag = sample_chain(TV_INSTANCE, cfg, 4000, n_chains=50, thin=2)
         dist = np.abs(samples - x_star[None, :]).max(axis=1)
         assert np.mean(dist <= 0.1) >= 0.99
+        # Each miss shrinks the bracket toward the current point: 3.2
+        # proposals a step here, and 14 if misses below it did not shrink.
+        assert diag["proposals"] < 5 * diag["chains"] * diag["steps"]
 
     def test_rejection_cap_raises(self, monkeypatch):
         monkeypatch.setattr(mechanism, "_PROPOSAL_CAP", 1)
@@ -508,6 +534,11 @@ class TestSampling:
         assert diag["steps"] == chain_diag["steps"] == 400
         assert diag["proposals"] == chain_diag["proposals"]
         assert "burn_in" not in diag and chain_diag["burn_in"] == 399
+
+    def test_single_point_set_is_not_sampled(self):
+        inst = normalized_instance(np.random.default_rng(3).uniform(0.1, 1.0, (4, 2)))
+        with pytest.raises(InfeasibleError, match="single point"):
+            sample_mechanism(inst, MechanismConfig(gamma=0.5, chain_steps=10))
 
     def test_bad_sample_arguments(self):
         with pytest.raises(MechanismError):
@@ -578,6 +609,22 @@ class TestCarriedScore:
         carried, fresh = self.carried_and_fresh(scorer, self.cfg, X0)
         assert carried == fresh
 
+    def test_floor_clipped_steps_are_scored_again(self, monkeypatch):
+        # Undershooting t_lo instead takes some accepted proposals below a
+        # floor, where the clip alone may move them.
+        chord = FeasibleSet.chord
+
+        def undershooting(self, X, D):
+            t_lo, t_hi = chord(self, X, D)
+            return t_lo - 1e-2 * (t_hi - t_lo), t_hi
+
+        monkeypatch.setattr(FeasibleSet, "chord", undershooting)
+        fs = FeasibleSet(self.inst.n, self.inst.k, self.cfg.gamma)
+        scorer = mechanism._Scorer(self.inst.utilities, fs)
+        X0 = fs.uniform(np.random.default_rng(4), 40)
+        carried, fresh = self.carried_and_fresh(scorer, self.cfg, X0)
+        assert carried == fresh
+
 
 # ---------------------------------------------------------------------------
 # Manipulation experiments
@@ -597,11 +644,38 @@ class TestManipulation:
         assert gains.shape == (1,)
         assert gains[0] == 0.0 and ses[0] == 0.0
 
-    def test_sweep_shapes_and_se(self):
+    def test_a_swapped_report_scores_as_the_misreported_instance(self):
+        inst = normalize_instance(gen_synthetic("k-approval", n=12, k=3, seed=1, approvals=2))
+        fs = FeasibleSet(inst.n, inst.k, 0.8)
+        reports = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        X = fs.uniform(np.random.default_rng(0), len(reports))
+        swapped = mechanism._Scorer(inst.utilities, fs, agent=4, override=reports).q(X)
+        for c, report in enumerate(reports):
+            u = inst.utilities.copy()
+            u[4] = report
+            plain = mechanism._Scorer(u, fs).q(X[c:c + 1])[0]
+            assert swapped[c] == pytest.approx(plain, rel=1e-12)
+
+    def test_sweep_shapes_and_se(self, monkeypatch):
+        kept = []
+        run = mechanism._hit_and_run
+
+        def spy(*args, **kwargs):
+            out = run(*args, **kwargs)
+            kept.append(out[0])
+            return out
+
+        monkeypatch.setattr(mechanism, "_hit_and_run", spy)
         mis = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         gains, ses = manipulation_sweep(self.inst, 0, mis, self.cfg, trials=5)
         assert gains.shape == (3,) and ses.shape == (3,)
-        assert np.all(ses >= 0)
+        # Each misreport's chains against the truthful ones, trial by trial:
+        # the mean difference and its standard error, with n - 1 in the variance.
+        truth = normalize_instance(self.inst).utilities[0]
+        per = (kept[0] @ truth).mean(axis=0).reshape(4, 5)
+        diffs = per[1:] - per[0]
+        assert gains == pytest.approx(diffs.mean(axis=1), rel=1e-12)
+        assert ses == pytest.approx(diffs.std(axis=1, ddof=1) / np.sqrt(5), rel=1e-12)
 
     def test_report_validation(self):
         with pytest.raises(MechanismError, match="unit l1 norm"):
@@ -610,6 +684,10 @@ class TestManipulation:
             manipulation_sweep(self.inst, 0, np.array([1.5, -0.5]), self.cfg)
         with pytest.raises(MechanismError, match="agent"):
             manipulation_sweep(self.inst, 99, np.array([0.5, 0.5]), self.cfg)
+        with pytest.raises(MechanismError, match="must have 2 columns"):
+            manipulation_sweep(self.inst, 0, np.array([0.2, 0.3, 0.5]), self.cfg)
+        with pytest.raises(MechanismError, match="at least 2 trials"):
+            manipulation_sweep(self.inst, 0, np.array([0.5, 0.5]), self.cfg, trials=1)
 
     def test_gain_independent_of_other_reports(self):
         # A report's chains see the same random numbers whatever other reports
