@@ -32,8 +32,9 @@ three samplers: the single draw (the final state of one chain), pooled draws
 from many chains, and manipulation experiments, whose report variants share
 one stream of randomness so that identical reports yield identical chains.
 The driver draws that stream a block of steps at a time, in array work.
-Each step's slice level reuses the score each chain accepted; only a floor
-clip or budget rescale that moved a chain makes it score the batch again.
+A score sums over the distinct ballots, each weighted by its count.  Each
+step's slice level reuses the score each chain accepted; only a floor clip
+or budget rescale that moved a chain makes it score the batch again.
 """
 
 from __future__ import annotations
@@ -208,8 +209,11 @@ class _Scorer:
         q(x) = n - n^(-gamma) * max_{y in P} sum_i U_i(y) / U_i(x)
 
     and the inner maximum is linear in y, so it is attained at a vertex of P:
-    everything at the floor plus all slack on the single best item.  That
-    reduces scoring to one pass over the utility matrix.
+    everything at the floor plus all slack on the single best item, which makes
+    it max_j sum_i (lb + slack * u_ij) / U_i(x).  Voters with equal rows enter
+    that sum once, weighted by their count, so scoring is one pass over the
+    distinct report rows.  With an ``agent``, its true row loses one count and
+    each chain adds the term of its own report, ``override``.
     """
 
     nu: np.ndarray
@@ -218,20 +222,23 @@ class _Scorer:
     override: Optional[np.ndarray] = None
 
     @cached_property
-    def _swap(self) -> np.ndarray:  # per chain, the agent's report minus its true row
-        return self.override - self.nu[self.agent]
+    def _weighted(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The distinct rows, transposed (k, d), their weights m_t * (lb + slack * row_t),
+        and with an agent, each chain's own weight lb + slack * override."""
+        lb, slack, own = self.fs.lower_bound, self.fs.slack, None
+        rows, inverse, counts = np.unique(self.nu, axis=0, return_inverse=True, return_counts=True)
+        if self.agent is not None:
+            counts[inverse[self.agent]] -= 1
+            own = lb + slack * self.override
+        return np.ascontiguousarray(rows.T), counts[:, None] * (lb + slack * rows), own
 
     def inner_terms(self, X: np.ndarray) -> np.ndarray:
         """Inner maximum value for each row of X."""
-        U = X @ self.nu.T
+        rows_t, weights, own = self._weighted
+        per_item = np.divide(1.0, X @ rows_t) @ weights
         if self.agent is not None:
-            U[:, self.agent] = np.einsum("ck,ck->c", X, self.override)
-        inv = np.divide(1.0, U, out=U)
-        per_item = inv @ self.nu
-        if self.agent is not None:
-            per_item += inv[:, self.agent][:, None] * self._swap
-        best = np.maximum.reduce(per_item.T.copy(), axis=0)  # along axis 0, as in chord
-        return self.fs.lower_bound * inv.sum(axis=1) + self.fs.slack * best
+            per_item += own / np.einsum("ck,ck->c", X, self.override)[:, None]
+        return np.maximum.reduce(per_item.T.copy(), axis=0)  # along axis 0, as in chord
 
     def q(self, X: np.ndarray) -> np.ndarray:
         return self.fs.n - self.fs.lower_bound * self.inner_terms(X)

@@ -58,6 +58,20 @@ def row_wise_chord(fs, X, D):
     return t_lo, np.maximum(t_hi, t_lo)
 
 
+def per_voter_q(u, fs, X, agent=None, reports=None):
+    """q(x) = n - lb * max_j sum_i (lb + slack * u_ij) / (u_i . x), one voter at a
+    time; with an ``agent``, chain c's copy of u holds ``reports[c]`` in its row.
+    The reference that ``_Scorer.q``, which scores distinct rows, must match."""
+    out = []
+    for c, x in enumerate(X):
+        rows = u.copy()
+        if agent is not None:
+            rows[agent] = reports[c]
+        inner = sum((fs.lower_bound + fs.slack * row) / (row @ x) for row in rows)
+        out.append(fs.n - fs.lower_bound * inner.max())
+    return np.array(out)
+
+
 TV_INSTANCE = normalized_instance([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]])
 TV_CFG = MechanismConfig(gamma=0.8, epsilon_priv=1.0, chain_steps=1000, burn_in=300, seed=7)
 
@@ -261,6 +275,27 @@ class TestScore:
                 vertices.append(v)
             brute = max(float((inst.utilities @ v / U).sum()) for v in vertices)
             assert value == pytest.approx(brute, rel=1e-12)
+
+    # k-approval ballots repeat (15 distinct rows among 200); uniform rows do not.
+    KAPPROVAL = normalize_instance(gen_synthetic("k-approval", n=200, k=6, seed=3))
+    DISTINCT = normalized_instance(np.random.default_rng(6).uniform(0.05, 1.0, (60, 4)))
+
+    @pytest.mark.parametrize("inst, agent, shared", [
+        (KAPPROVAL, None, None),
+        (DISTINCT, None, None),
+        (KAPPROVAL, 0, True),
+        (DISTINCT, 7, False),  # the agent's row loses its only count
+    ])
+    def test_distinct_row_scores_match_the_per_voter_formula(self, inst, agent, shared):
+        u = inst.utilities
+        if agent is not None:
+            assert ((u == u[agent]).all(axis=1).sum() > 1) == shared
+        fs = FeasibleSet(inst.n, inst.k, 0.5)
+        rng = np.random.default_rng(9)
+        X = fs.uniform(rng, 30)
+        reports = None if agent is None else rng.dirichlet(np.ones(inst.k), 30)
+        q = mechanism._Scorer(u, fs, agent=agent, override=reports).q(X)
+        assert q == pytest.approx(per_voter_q(u, fs, X, agent, reports), rel=1e-12)
 
     def test_score_range(self):
         rng = np.random.default_rng(1)
@@ -721,6 +756,25 @@ class TestManipulation:
         shared, _ = manipulation_sweep(self.inst, 0, batch, cfg, trials=5)
         assert min(d["worst_rejection_rounds"] for d in diags) > mechanism._ROUNDS
         assert alone[0] == shared[2]
+
+    def test_voter_order_changes_no_bit(self):
+        # The scorer sorts the distinct rows, so permuting the voters (with the
+        # agent's index moved along) leaves every score and gain bitwise alone.
+        inst = normalize_instance(gen_synthetic("k-approval", n=60, k=4, seed=2, approvals=2))
+        perm = np.random.default_rng(4).permutation(inst.n)
+        shuffled = Instance(utilities=inst.utilities[perm], budget=1.0)
+        agent, moved = 5, int(np.flatnonzero(perm == 5)[0])
+        fs = FeasibleSet(inst.n, inst.k, 0.5)
+        X = fs.uniform(np.random.default_rng(1), 20)
+        reports = np.random.default_rng(2).dirichlet(np.ones(inst.k), 20)
+        for a, b in ((None, None), (agent, moved)):
+            q = mechanism._Scorer(inst.utilities, fs, agent=a, override=reports).q(X)
+            q_perm = mechanism._Scorer(shuffled.utilities, fs, agent=b, override=reports).q(X)
+            assert q.tobytes() == q_perm.tobytes()
+        lies = reports[:3]
+        gains = manipulation_sweep(inst, agent, lies, self.cfg, trials=4)
+        gains_perm = manipulation_sweep(shuffled, moved, lies, self.cfg, trials=4)
+        assert np.asarray(gains).tobytes() == np.asarray(gains_perm).tobytes()
 
     def test_gain_is_deterministic(self):
         mis = np.array([[1.0, 0.0], [0.0, 1.0]])
