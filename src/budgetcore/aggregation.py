@@ -66,9 +66,7 @@ class Scheme(str, Enum):
 class RankedScheme:
     """A scheme's ranking plus its rounded outcomes."""
 
-    scheme: Scheme
     order: np.ndarray
-    scores: np.ndarray
     fractional: Allocation
     integral: Allocation
 
@@ -120,9 +118,7 @@ def rank_and_round(
             x_frac[j] = remaining
 
     return RankedScheme(
-        scheme=scheme,
         order=order,
-        scores=scores,
         fractional=Allocation(x=x_int if x_frac is None else x_frac,
                               kind=AllocationKind.FRACTIONAL),
         integral=Allocation(x=x_int, kind=AllocationKind.INTEGRAL),

@@ -83,12 +83,6 @@ def _read_digits(body: str, k: int) -> Optional[np.ndarray]:
     """The byte path: the matrix if every body line is an id, then k cells of
     one ASCII digit each after a comma, then ``\\n`` or ``\\r\\n``; None for
     any other layout, or values that fail :func:`_valid`."""
-    # The first line's layout turns most other files away before any scan.
-    end = body.find("\n")
-    first = (body[:end] if end >= 0 else body).removesuffix("\r")
-    cells = first[-2 * k:].encode("utf-8", "surrogatepass")  # > 2k bytes unless ASCII
-    if not (first.count(",") == k and cells[::2] == b"," * k and cells[1::2].isdigit()):
-        return None
     raw = body.encode("utf-8", "surrogatepass")
     if not raw.endswith(b"\n"):
         raw += b"\n"

@@ -165,8 +165,8 @@ class ElectionConfig:
             knobs(**block)  # checks the values, also for a command that never reads them
             blocks[name] = dict(block)
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise CliError(f"config {source}: 'seed' must be an integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise CliError(f"config {source}: 'seed' must be a nonnegative integer, got {seed!r}")
         return ElectionConfig(
             budget_cents=budget_cents,
             item_sizes_cents=sizes,
@@ -526,6 +526,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = ElectionConfig.from_file(args.config) if args.config else ElectionConfig()
         if args.seed is not None:
+            if args.seed < 0:
+                raise CliError(f"--seed must be a nonnegative integer, got {args.seed}")
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "budget", None) is not None:
             cfg = replace(cfg, budget_cents=_to_cents(args.budget, "budget"))

@@ -41,9 +41,7 @@ _MAX_GRID_POINTS = 2_000_000
 _MAX_K_INTEGRAL = 12
 _MAX_N_INTEGRAL = 20
 # Relative slack of the continuous oracle's crossing-budget test, far above
-# rounding.  Cobb-Douglas has U(b y) = b^m U(y), m the exponent mass on funded
-# items, and its log(0) stand-in lets m miss 1 by up to 7.5e-7 before U
-# underflows to 0; b^(m - 1) stays within 1e-3 of 1 for every b >= 1e-200.
+# rounding and the 1e-9 row-sum tolerance of Cobb-Douglas exponents.
 _PRUNE_RTOL = 1e-3
 
 
@@ -73,7 +71,7 @@ class CoreCertificate:
 
 @dataclass(frozen=True)
 class Deviation:
-    """A blocking move: ``coalition`` pools (|S|/n - slack) B and buys ``y``.
+    """A blocking move: ``coalition`` pools (|S|/n) B and buys ``y``.
 
     ``min_gain`` is the worst member's improvement — additive difference or
     multiplicative ratio depending on the oracle mode; above the threshold
@@ -158,13 +156,12 @@ def find_deviation_continuous(
     grid_steps: int = 100,
     mode: str = "additive",
     threshold: float = 1e-3,
-    budget_slack: float = 0.0,
 ) -> Optional[Deviation]:
     """Exhaustive blocking-coalition search over a spend grid.
 
     For every coalition size s, candidate spends are the grid points of the
-    coalition budget (s/n - budget_slack) * B; a coalition of size s blocks a
-    candidate y exactly when the s-th largest gain at y clears the threshold
+    coalition budget (s/n) * B; a coalition of size s blocks a candidate y
+    exactly when the s-th largest gain at y clears the threshold
     (so the best coalition for any y is the top-s gainers — this is equivalent
     to enumerating all 2^n coalitions).  ``threshold`` is the blocking margin t
     in both modes: gains are additive differences (``mode="additive"``,
@@ -185,8 +182,8 @@ def find_deviation_continuous(
     if grid_steps < 1:
         raise ValueError(f"grid_steps must be at least 1, got {grid_steps!r}")
     # NaN or +inf would read as "no deviation"; -inf asks for the best deviation at any gain.
-    if not (threshold < np.inf and np.isfinite(budget_slack)):
-        raise ValueError(f"threshold {threshold!r} or budget_slack {budget_slack!r} out of range")
+    if not threshold < np.inf:
+        raise ValueError(f"threshold {threshold!r} out of range")
     bar = threshold if mode == "additive" else 1.0 + threshold  # what a gain must exceed
     n, k, B = inst.n, inst.k, inst.budget
     if k > _MAX_K_CONTINUOUS or n > _MAX_N_CONTINUOUS:
@@ -213,9 +210,9 @@ def find_deviation_continuous(
     best_gain = -np.inf
 
     for s in range(1, n + 1):
-        b = (s / n - budget_slack) * B
+        b = s / n * B
         rows = np.flatnonzero(crossing[:, s - 1] < b * (1 + _PRUNE_RTOL))
-        if b <= 0 or rows.size == 0:
+        if rows.size == 0:
             continue
         # Evaluate every grid point, then keep the admitted rows: the kept
         # gains are bitwise those of the full scan, whatever rows BLAS gets.

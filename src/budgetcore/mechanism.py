@@ -115,6 +115,8 @@ class MechanismConfig:
             raise MechanismError(f"chain_steps must be a positive integer, got {steps!r}")
         if not (isinstance(burn, numbers.Integral) and burn >= 0):
             raise MechanismError(f"burn_in must be a nonnegative integer, got {burn!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise MechanismError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -304,9 +306,7 @@ def approximation_certificate(
 # ---------------------------------------------------------------------------
 
 
-def proportional_fairness_point(
-    inst: Instance, cfg: MechanismConfig, tol: Optional[float] = None
-) -> np.ndarray:
+def proportional_fairness_point(inst: Instance, cfg: MechanismConfig) -> np.ndarray:
     """Maximize sum_i log U_i over the floored simplex.
 
     Write x = lb + w with w >= 0.  On the face sum(w) = slack, where the
@@ -315,18 +315,17 @@ def proportional_fairness_point(
     instance with budget ``slack``, which :func:`solve_potential` computes
     (for linear utilities its marginal spends are the allocation itself).  On
     the face the inner maximum equals n + n * max_j r_j, with r the shifted
-    instance's equilibrium residuals, so stopping the solver at
-    residual tolerance ``tol / n`` stops it once the inner maximum at x is
-    within ``tol`` of n.  That certifies the score is within n^(-gamma) * tol
-    of its maximum value n - n^(1-gamma).  A solver that stops short of that
-    raises :class:`MechanismError` rather than return an uncertified point.
+    instance's equilibrium residuals, so stopping the solver at residual
+    tolerance tol / n, tol = 1e-8 * n^gamma, stops it once the inner maximum
+    at x is within tol of n.  That certifies the score is within 1e-8 of its
+    maximum value n - n^(1-gamma).  A solver that stops short of that raises
+    :class:`MechanismError` rather than return an uncertified point.
     """
     _require_normalized(inst)
     fs = FeasibleSet(inst.n, inst.k, cfg.gamma)
     if fs.slack <= _FEAS_TOL:
         return fs.center()
-    if tol is None:
-        tol = 1e-8 * inst.n ** cfg.gamma
+    tol = 1e-8 * inst.n ** cfg.gamma
     lb, slack = fs.lower_bound, fs.slack
     shifted = Instance(utilities=inst.utilities + lb / slack, budget=slack)
     res = solve_potential(

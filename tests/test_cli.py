@@ -64,6 +64,14 @@ class TestGen:
             digests.append(rep["result"]["sha256"])
         assert digests[0] == digests[1] != digests[2]
 
+    def test_negative_seed_override_is_an_error_naming_seed(self, capsys, tmp_path):
+        rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5", "--seed", "-1",
+                      "--out", str(tmp_path))
+        assert rc == 1
+        assert err["error"] == {"type": "CliError",
+                                "message": "--seed must be a nonnegative integer, got -1"}
+        assert not (tmp_path / "votes.csv").exists()
+
     def test_param_forwarding(self, capsys, tmp_path):
         rc, rep = run(capsys, "gen", "--profile", "independent-bernoulli",
                       "--n", "30", "--k", "3", "--param", "p=0.9",
@@ -663,6 +671,8 @@ class TestErrors:
         pytest.param("solve", {"seed": [1]}, "CliError", "seed", id="seed-list"),
         pytest.param("solve", {"seed": 1.5}, "CliError", "seed", id="seed-1.5"),
         pytest.param("solve", {"seed": True}, "CliError", "seed", id="seed-true"),
+        pytest.param("solve", {"seed": -3}, "CliError", "'seed' must be a nonnegative integer",
+                     id="seed--3"),
         pytest.param("solve", {"items": [{"name": ["a"]}]}, "CliError", "item name",
                      id="item-name-list"),
         # Blocks the command never reads are checked when the config is loaded.

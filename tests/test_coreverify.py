@@ -36,7 +36,7 @@ from budgetcore.model import (
 )
 
 
-def reference_continuous(inst, model, x, grid_steps, mode, threshold, budget_slack):
+def reference_continuous(inst, model, x, grid_steps, mode, threshold):
     """Every grid point for every coalition size: the unpruned scan."""
     n, B = inst.n, inst.budget
     bar = threshold if mode == "additive" else 1.0 + threshold
@@ -44,9 +44,7 @@ def reference_continuous(inst, model, x, grid_steps, mode, threshold, budget_sla
     unit = budget_grid(inst.k, grid_steps)
     best, best_gain = None, -np.inf
     for s in range(1, n + 1):
-        b = (s / n - budget_slack) * B
-        if b <= 0:
-            continue
+        b = s / n * B
         Uy = model.utilities_batch(unit * b)
         if mode == "additive":
             gains = Uy - Ux[None, :]
@@ -228,8 +226,6 @@ class TestContinuousOracle:
         (dict(grid_steps=-1), "grid_steps"),
         (dict(threshold=np.nan), "threshold nan"),
         (dict(threshold=np.inf), "threshold inf"),
-        (dict(budget_slack=np.nan), "budget_slack nan"),
-        (dict(budget_slack=-np.inf), "budget_slack -inf"),
     ])
     def test_invalid_search_parameters_rejected(self, kw, match):
         # None of these may come back as "no deviation".
@@ -243,21 +239,12 @@ class TestContinuousOracle:
         # is undefined).
         inst = minority_instance(n=5)
         model, x = Linear(inst.utilities), np.zeros(2)
-        kw = dict(grid_steps=10, mode="multiplicative", threshold=-np.inf, budget_slack=0.0)
+        kw = dict(grid_steps=10, mode="multiplicative", threshold=-np.inf)
         dev = find_deviation_continuous(inst, model, x, **kw)
         assert dev is not None and dev.min_gain == np.inf
         want = reference_continuous(inst, model, x, **kw)
         assert (dev.coalition, dev.min_gain) == (want[0], want[2])
         assert np.array_equal(dev.y.x, want[1])
-
-    def test_budget_slack_shrinks_the_pool(self):
-        inst = minority_instance(n=5)
-        model = Linear(inst.utilities)
-        dev = find_deviation_continuous(
-            inst, model, np.array([0.0, 1.0]), grid_steps=100, budget_slack=0.2
-        )
-        assert dev is not None
-        assert dev.min_gain == pytest.approx(0.6)
 
     def test_matches_full_grid_search(self):
         # The oracle enumerates the budget surface only; nondecreasing
@@ -287,9 +274,9 @@ class TestContinuousOracle:
 
     @pytest.mark.parametrize("family", ["linear", "cobb-douglas", "powersum-1", "powersum-0.5"])
     def test_matches_reference_scan(self, family):
-        # Seeded random cases over both modes, budget slack, thresholds down to
-        # -inf, tied and zero utilities, zero spends; powersum with alpha < 1
-        # is not degree-1 homogeneous and takes the unpruned path.  The kept
+        # Seeded random cases over both modes, thresholds from -inf to 1, tied
+        # and zero utilities, zero spends; powersum with alpha < 1 is not
+        # degree-1 homogeneous and takes the unpruned path.  The kept
         # gains are computed exactly as the full scan computes them, so the
         # results must be identical, not merely close.
         rng = np.random.default_rng(["linear", "cobb-douglas", "powersum-1",
@@ -314,11 +301,10 @@ class TestContinuousOracle:
             if trial % 4 == 0:
                 x[rng.integers(k)] = 0.0  # zero spends, zero utilities
             mode = ("additive", "multiplicative")[trial % 2]
-            thresholds = ([-np.inf, -0.1, 0.0, 1e-3, 0.05] if mode == "additive"
-                          else [-np.inf, -0.5, 0.0, 1e-3, 0.2])
+            thresholds = ([-np.inf, -0.1, 0.0, 1e-3, 0.05, 0.5] if mode == "additive"
+                          else [-np.inf, -0.5, 0.0, 1e-3, 0.2, 1.0])
             kw = dict(grid_steps=int(rng.integers(2, 30)), mode=mode,
-                      threshold=float(rng.choice(thresholds)),
-                      budget_slack=float(rng.choice([0.0, 0.0, 0.1])))
+                      threshold=float(rng.choice(thresholds)))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 want = reference_continuous(inst, model, x, **kw)
                 got = find_deviation_continuous(inst, model, x, **kw)
@@ -332,22 +318,22 @@ class TestContinuousOracle:
             assert got.min_gain == want[2], (trial, kw)
         assert 10 <= blocked <= 55  # both outcomes well represented
 
-    def test_cobb_douglas_log_zero_stand_in_is_not_pruned(self):
-        # log(0) is a finite stand-in, so with an exponent of 3e-7 on an
-        # unfunded item U(b y) = b^(1 - 3e-7) U(y), not b U(y).  At b = 1e-8
-        # that bends the crossing budget by 6e-6, more than rounding slack
-        # would cover.  The slack leaves only the pair's budget 1e-8, and only
-        # its point (1e-8, 0) beats the ratio.
+    def test_cobb_douglas_tiny_exponent_on_unfunded_item(self):
+        # 0^a is exactly 0 for any a > 0, however small, so Cobb-Douglas stays
+        # degree-1 homogeneous at zero spends and the pruned search is the
+        # full scan.  Voter 0 values the unfunded item at 3e-7 and has
+        # nothing: any spend on that item is an infinite ratio for it alone.
         u = np.array([[1.0 - 3e-7, 3e-7], [1.0, 0.0]])
         inst = Instance(utilities=u, budget=2e-8)
         model, x = CobbDouglas(u), np.array([5e-9, 0.0])
-        kw = dict(grid_steps=50, mode="multiplicative", threshold=1 - 2e-6,
-                  budget_slack=0.5)
-        want = reference_continuous(inst, model, x, **kw)
-        got = find_deviation_continuous(inst, model, x, **kw)
-        assert want is not None and np.array_equal(want[1], [1e-8, 0.0])
-        assert (got.coalition, got.min_gain) == (want[0], want[2])
-        assert np.array_equal(got.y.x, want[1])
+        assert model.utilities_all(x)[0] == 0.0
+        for kw, gain in ((dict(mode="multiplicative", threshold=1e-3), np.inf),
+                         (dict(mode="additive", threshold=1e-9), 1.46e-8)):
+            want = reference_continuous(inst, model, x, grid_steps=50, **kw)
+            got = find_deviation_continuous(inst, model, x, grid_steps=50, **kw)
+            assert want[2] == pytest.approx(gain)
+            assert (got.coalition, got.min_gain) == (want[0], want[2])
+            assert np.array_equal(got.y.x, want[1])
 
     def test_size_guards(self):
         big_k = Instance(utilities=np.ones((3, 5)), budget=1.0)

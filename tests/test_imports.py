@@ -4,10 +4,11 @@ is shadowed in every concrete subclass, no module or class body binds a second
 name to one of its functions, every ``__all__`` entry is named by the package,
 the benchmark or the acceptance gate (bar a listed few) and an ``__init__``
 entry is read there through the package itself, so no name has a second import
-path, every defaulted parameter of a private function is passed somewhere,
-every config field rejects a bool, importing the CLI leaves scipy unloaded,
-``analyze`` loads no ``scipy.stats``, and every mutant in ``tests/mutants.py``
-still finds its text exactly once."""
+path, every defaulted parameter of a budgetcore function is passed by the
+package, the benchmark or the acceptance gate, every config field rejects a
+bool, importing the CLI leaves scipy unloaded, ``analyze`` loads no
+``scipy.stats``, and every mutant in ``tests/mutants.py`` still finds its text
+exactly once."""
 
 import ast
 import dataclasses
@@ -27,6 +28,10 @@ from budgetcore.mechanism import MechanismConfig
 from budgetcore.saturating import HeuristicConfig
 
 MODULES = sorted(Path(budgetcore.__file__).parent.glob("*.py"))
+# The code outside the unit tests: the package, the benchmark and the acceptance gate.
+REPO = Path(__file__).resolve().parents[1]
+READERS = MODULES + sorted((REPO / "perfbench").glob("*.py")) + [
+    REPO / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(path: Path) -> list:
@@ -125,11 +130,8 @@ def unit_test_only_names() -> list:
     attribute there spells it; an ``__init__`` entry only when it is read
     through the package, as ``budgetcore.<name>``, ``from budgetcore import
     <name>`` or, inside the package, ``from . import <name>``."""
-    repo = Path(__file__).resolve().parents[1]
-    readers = MODULES + sorted((repo / "perfbench").glob("*.py")) + [
-        repo / "tests" / "test_acceptance.py"]
     used, via_package = set(), set()
-    for path in readers:
+    for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -154,15 +156,15 @@ def test_public_names_have_callers_outside_unit_tests():
             if n.split(".")[1] not in TEST_ONLY_ALLOWED] == []
 
 
-def unpassed_private_defaults() -> list:
-    """Defaulted parameters of private (``_``-prefixed, not dunder) budgetcore
-    functions that no call in the package passes: knobs that nothing reads.
-    A call passes a parameter by keyword, by position, or through a
-    ``*args``/``**kwargs`` splat."""
+def unpassed_defaults() -> list:
+    """Defaulted parameters of budgetcore functions and methods (bar dunders)
+    that no call in the package, the benchmark or the acceptance gate passes:
+    knobs that only unit tests turn, or nothing.  A call passes a parameter by
+    keyword, by position, or through a ``*args``/``**kwargs`` splat."""
     functions, calls = [], []
-    for path in MODULES:
+    for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+            if isinstance(node, ast.FunctionDef) and path in MODULES \
                     and not node.name.endswith("__"):
                 functions.append((path.stem, node))
             elif isinstance(node, ast.Call):
@@ -170,7 +172,7 @@ def unpassed_private_defaults() -> list:
     found = []
     for module, fn in functions:
         positional = fn.args.posonlyargs + fn.args.args
-        # A method called as obj._name(...) binds self/cls before the first argument.
+        # A method called as obj.name(...) binds self/cls before the first argument.
         bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
         first_default = len(positional) - len(fn.args.defaults)
         defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first_default]
@@ -190,7 +192,11 @@ def unpassed_private_defaults() -> list:
 
 
 def test_private_defaults_are_passed():
-    assert unpassed_private_defaults() == []
+    assert [n for n in unpassed_defaults() if n.split(".")[1].startswith("_")] == []
+
+
+def test_public_defaults_are_passed():
+    assert [n for n in unpassed_defaults() if not n.split(".")[1].startswith("_")] == []
 
 
 CONFIG_FIELDS = [(config, f.name)

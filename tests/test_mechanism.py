@@ -128,6 +128,10 @@ class TestConfig:
             with pytest.raises(MechanismError):
                 MechanismConfig(**kw)
 
+    def test_negative_seed_is_an_error_naming_seed(self):
+        with pytest.raises(MechanismError, match="seed must be a nonnegative integer, got -1"):
+            MechanismConfig(seed=-1)
+
     def test_burn_in_checked_only_where_chain_steps_bounds_it(self):
         # The single draw and sample_chain never compare burn_in with
         # chain_steps; manipulation_sweep runs chain_steps steps and averages
@@ -410,12 +414,15 @@ class TestFairnessPoint:
         value = inner_value(inst, x, cfg)
         assert value - n <= 1e-8 * n**gamma
 
-    def test_unreachable_tol_raises(self):
-        # 1e-13 on the inner-max gap is below what float64 reaches at this
-        # size; the point must not come back silently above it.
+    def test_unreachable_tol_raises(self, monkeypatch):
+        # A solve that stops short of the tolerance 1e-8 * n^gamma must not
+        # come back as a certified point.
+        solve = mechanism.solve_potential
+        monkeypatch.setattr(mechanism, "solve_potential",
+                            lambda *a: replace(solve(*a), converged=False))
         inst = normalize_instance(gen_synthetic("k-approval", n=2054, k=10, seed=3))
-        with pytest.raises(MechanismError, match=r"short of tol 1e-13; the inner-max gap"):
-            proportional_fairness_point(inst, MechanismConfig(gamma=0.5), tol=1e-13)
+        with pytest.raises(MechanismError, match=r"short of tol 4.53e-07; the inner-max gap"):
+            proportional_fairness_point(inst, MechanismConfig(gamma=0.5))
 
     def test_inner_gap_is_n_times_shifted_residual(self):
         # On the face sum(x) = 1, x = lb + w, the inner-max gap equals n times

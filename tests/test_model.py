@@ -243,8 +243,8 @@ class TestCobbDouglas:
         assert m.utilities_all(np.array([2.0, 0.0])) == pytest.approx([2.0])
 
     def test_zero_spend_with_positive_exponent(self):
-        # Exactly 0 down to an exponent of 1e-5: log(0)'s stand-in underflows.
-        for a in (0.5, 1e-5):
+        # Exactly 0 at any positive exponent, however small.
+        for a in (0.5, 1e-5, 1e-12):
             m = CobbDouglas(np.array([[1.0 - a, a]]))
             assert m.utilities_all(np.array([1.0, 0.0])).tolist() == [0.0]
 
