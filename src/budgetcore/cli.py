@@ -280,8 +280,8 @@ def _heuristic_work(result) -> dict:
     return {
         "converged": result.converged,
         "sweeps": len(result.max_violation_trace),
-        # The returned iterate is the best sweep's, also when not converged.
-        "max_violation": min((float(v) for _, v in result.max_violation_trace), default=None),
+        # The trace's last entry is the violation at the returned (x, y).
+        "max_violation": float(result.max_violation_trace[-1][1]),
     }
 
 

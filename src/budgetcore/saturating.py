@@ -1,4 +1,4 @@
-"""Saturating utilities: the smoothing factor and the direct heuristic.
+"""Saturating utilities: the smoothing factor and the direct equilibrium solver.
 
 Hard saturating value curves min(x_j/s_j, 1) violate non-satiation, so the
 convex-program route does not apply directly.  Two workarounds:
@@ -9,21 +9,19 @@ convex-program route does not apply directly.  Two workarounds:
   solves exactly; ``smoothing_alpha`` is the multiplicative approximation
   factor (1/eps)(B/s_min)^eps + 1 - 1/eps paid for the smoothing.
 
-* ``heuristic_solve`` works on the hard curves.  It maintains spends x_j and
-  subgradient choices y_j in [0, 1/s_j] (y_j = 1/s_j wherever x_j < s_j), and
-  repeatedly re-solves the single worst item: the equilibrium condition
-
-      lhs_j = (B/n) * sum_i u_ij y_j / (sum_m u_im x_m y_m)  vs  1
-
-  should hold with equality on funded items, one-sidedly (<=) on unfunded
-  ones and (>=) on pinned ones, saturated items whose lhs stays >= 1 however
-  small y_j gets.  Each sweep picks the item with the largest violation and
-  restores its condition by safeguarded Newton (bisection where a Newton step
-  is unusable) on a bracket around the root, first in x_j at y_j = 1/s_j, then
-  in y_j at x_j = s_j if the spend saturates.  Convergence, judged on the
-  ballots as given, is not guaranteed and is reported honestly.  A sweep costs
-  one n x k product (every lhs_j) plus work on the re-solved item's supporters
-  alone: their denominators are carried, and updated in place for item j.
+* ``heuristic_solve`` works on the hard curves by capped proportional response
+  (CPR; Birnbaum, Devanur and Xiao, EC 2011; Kroer and Peters, 2025).  With
+  v = u/s, prices y_j = w_j/s_j (w_j in [1e-12, 1]) and z = x w, voters split
+  B/n in proportion to v_ij z_j, so item j collects z_j G_j, G = v^T ((B/n)/(v z)).
+  A CPR pass is q <- T(q) = max(min(q + log G, log s - log G), log(s 1e-12)) in
+  q = log z: an item keeps what it collects at w_j = 1 (branch F), is funded to
+  its size at w_j = 1/G_j (branch S), or sits on the floor.  A fixed point is
+  read as x = min(z G, s), 0 on the floor's F side, and y = clip(1/G, 1e-12,
+  1)/s.  After 10 passes, each round takes a semismooth Newton step on
+  r = q - T(q) (Qi and Sun, 1993), each row on the branch T took, through one
+  k x k product for d log G/d q; a halving line search takes the first of 8
+  trials in [floor, log s] that lowers max |r| by 1e-4 of itself, or else 10
+  more CPR passes (q - r) run.
 """
 
 from __future__ import annotations
@@ -31,25 +29,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .model import Allocation, Instance, reject_bools
 
-__all__ = [
-    "HeuristicConfig",
-    "HeuristicResult",
-    "smoothing_alpha",
-    "heuristic_solve",
-]
+__all__ = ["HeuristicConfig", "HeuristicResult", "smoothing_alpha", "heuristic_solve"]
 
-# Lower end of the root bracket for the subgradient, as a fraction of the
-# slope 1/s_j.  Where the condition is still unreachable there, the re-solve
-# leaves the item at full funding and the slope.
-_Y_BRACKET_FLOOR = 1e-12
-_ROOT_MAX_ITERS = 200
-_ROOT_TOL = 1e-10  # accepted root bracket, relative to max(s_j, 1) in x_j, 1/s_j in y_j
+_FLOOR = 1e-12  # least price weight w_j, and least z_j as a fraction of s_j
+_CPR_PASSES = 10  # plain passes at the start and after a refused Newton step
+_TRIALS = 8  # line-search trials, halving the step each time
+_DECREASE = 1e-4  # least relative drop in max |r| that accepts a trial; rounding cycles
 
 
 @dataclass
@@ -57,8 +48,8 @@ class HeuristicConfig:
     """Knobs for ``heuristic_solve``.
 
     ``eps_target`` defaults to 1/n at solve time (it depends on the instance,
-    hence the None sentinel); otherwise it is finite and > 0.  ``max_sweeps``
-    is an integer >= 1.  Anything else raises ``ValueError``.
+    hence the None sentinel); otherwise it is finite and > 0.  ``max_sweeps``,
+    the cap on evaluations of G, is an integer >= 1.  Else ``ValueError``.
     """
 
     eps_target: Optional[float] = None
@@ -79,9 +70,7 @@ class HeuristicResult:
     y: np.ndarray
     max_violation_trace: list = field(default_factory=list)
     converged: bool = False
-    # True when the returned spend, converged or not, misses the budget by
-    # more than eps * B (reported, never silently rescaled).
-    budget_flagged: bool = False
+    budget_flagged: bool = False  # the spend misses B by more than eps * B
 
 
 def smoothing_alpha(budget: float, s_min: float, eps_smooth: float) -> float:
@@ -91,157 +80,107 @@ def smoothing_alpha(budget: float, s_min: float, eps_smooth: float) -> float:
     return (budget / s_min) ** e / e + 1.0 - 1.0 / e
 
 
-def _gaps(w: np.ndarray, x: float, y: float, scale: float) -> Tuple[float, float, float, float]:
-    """(1 - 1/lhs_j, its x_j-derivative, 1 - lhs_j, its y_j-derivative) at (x, y).
-
-    ``w`` holds rest_i / u_ij over the voters with u_ij > 0 (the others add 0),
-    so voter i's term u_ij / (rest_i + u_ij x y) is 1 / (w_i + x y).  Each gap
-    is decreasing and convex in its variable: 1/lhs_j is a harmonic mean of affine functions
-    of x_j (linear for one voter), and lhs_j is increasing and concave in y_j.
-    """
-    t = 1.0 / (w + x * y)  # +inf at x = 0 for a voter with rest 0; callers silence it
-    s1, s2 = float(t.sum()), float(t @ t)
-    lhs = scale * y * s1
-    if lhs == 0.0:
-        return -math.inf, math.nan, 1.0, math.nan
-    return 1.0 - 1.0 / lhs, -s2 / (scale * s1 * s1), 1.0 - lhs, scale * (x * y * s2 - s1)
-
-
-def _decreasing_root(h, lo: float, hi: float, at_lo: Tuple[float, float],
-                     width: float) -> float:
-    """Root of h, from a bracket around it no wider than ``width``.
-
-    h(v) -> (value, slope) is decreasing and convex, h(lo) = ``at_lo`` > 0 >=
-    h(hi), so Newton steps from lo stop at or short of the root; one that is
-    not finite or leaves the bracket anyway becomes a bisection.  A step under
-    half the width is lengthened by half a width, past the root, to close it.
-    """
-    v, (hv, dv) = lo, at_lo
-    for _ in range(_ROOT_MAX_ITERS):
-        step = -hv / dv if dv < 0.0 and math.isfinite(hv) else math.nan
-        if hi - lo <= width:
-            # Accepted: one more Newton step estimates the root inside it.
-            return v + step if lo <= v + step <= hi else 0.5 * (lo + hi)
-        if abs(step) < 0.5 * width:
-            step += 0.5 * width if hv > 0.0 else -0.5 * width
-        v = v + step if lo < v + step < hi else 0.5 * (lo + hi)
-        hv, dv = h(v)
-        lo, hi = (v, hi) if hv > 0.0 else (lo, v)
-    return 0.5 * (lo + hi)
-
-
-def _resolve_item(u_on: np.ndarray, s_j: float, rest_on: np.ndarray, scale: float,
-                  tol: float) -> Tuple[float, float]:
-    """Restore item j's condition given its supporters' utilities ``u_on`` > 0
-    and everybody else's contributions to their denominators, ``rest_on``.
-
-    Returns (x_j, y_j).  A saturated item whose condition the y bracket cannot
-    reach keeps (s_j, 1/s_j).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = rest_on / u_on
-        slope = 1.0 / s_j
-        at_zero = _gaps(w, 0.0, slope, scale)[:2]
-        if at_zero[0] <= 0.0:
-            # Equality would need negative spend; the inequality holds at zero.
-            return 0.0, slope
-        if _gaps(w, s_j, slope, scale)[0] < 0.0:
-            xj = _decreasing_root(lambda x: _gaps(w, x, slope, scale)[:2],
-                                  0.0, s_j, at_zero, tol * max(s_j, 1.0))
-            return xj, slope
-        # Saturates: clamp the spend and search the subgradient instead.
-        lo = _Y_BRACKET_FLOOR * slope
-        at_lo = _gaps(w, s_j, lo, scale)[2:]
-        if at_lo[0] <= 0.0:
-            return s_j, slope
-        yj = _decreasing_root(lambda y: _gaps(w, s_j, y, scale)[2:],
-                              lo, slope, at_lo, tol * slope)
-        return s_j, yj
+def _violation(u: np.ndarray, sizes: np.ndarray, scale: float, x: np.ndarray,
+                      y: np.ndarray) -> float:
+    """Largest gap between lhs_j = (B/n) y_j sum_i u_ij / (u_i . (x y)) and 1:
+    one-sided for unfunded items (lhs_j <= 1) and for pinned ones (lhs_j >= 1),
+    fully funded items whose solo supporters (who value no other funded item)
+    hold lhs_j at 1 or more by themselves, (B/n) solo_j >= s_j."""
+    with np.errstate(divide="ignore"):
+        over = scale * y * (u.T @ (1.0 / (u @ (x * y)))) - 1.0
+    valued = u > 0
+    funded = np.count_nonzero(valued[:, x > 0], axis=1)
+    solo = np.count_nonzero(valued[funded == 1], axis=0)
+    pinned = (x == sizes) & (scale * solo >= sizes)
+    viol = np.where(x == 0.0, np.maximum(over, 0.0),
+                    np.where(pinned, np.maximum(-over, 0.0), np.abs(over)))
+    return float(viol.max())
 
 
 def heuristic_solve(inst: Instance, cfg: Optional[HeuristicConfig] = None) -> HeuristicResult:
-    """Worst-item sweep heuristic for hard saturating utilities.
+    """CPR with semismooth Newton steps for hard saturating utilities.
 
-    Deterministic.  May fail to converge (``converged=False`` with the best
-    iterate found), and stops when the worst item's re-solve returns it
-    unchanged; never rescales the spend to force budget feasibility -- a miss
-    beyond eps * B is flagged instead.
+    Deterministic.  Stops once the ballots as given accept the returned (x, y)
+    within ``eps_target``, after ``max_sweeps`` evaluations of G, or near a
+    fixed point that no trial improves and the ballots reject (voters who value
+    only some fully funded items overfill them at the price floor).  The trace
+    holds max |r| per evaluation, but last the ballots' violation at (x, y),
+    which decides ``converged``.  A missed budget is flagged, never rescaled.
     """
     cfg = cfg or HeuristicConfig()
     sizes = inst.require_sizes()
-    n, k, B = inst.n, inst.k, inst.budget
-    eps_target = 1.0 / n if cfg.eps_target is None else cfg.eps_target
+    B = inst.budget
+    eps_target = 1.0 / inst.n if cfg.eps_target is None else cfg.eps_target
 
     if sizes.sum() <= B * (1.0 + 1e-12):
-        # Everything fits: full funding puts every voter at maximum utility
-        # simultaneously, so no coalition can improve anyone and the sweep
-        # condition (which presumes the budget binds) is moot.
-        return HeuristicResult(
-            x=Allocation(sizes.copy()),
-            y=1.0 / sizes,
-            max_violation_trace=[(1, 0.0)],
-            converged=True,
-            budget_flagged=abs(float(sizes.sum()) - B) > eps_target * B,
-        )
+        # Everything fits: full funding gives every voter maximum utility at
+        # once, so no coalition can improve anyone; the condition is moot.
+        x, y, trace, viol = sizes.copy(), 1.0 / sizes, [(1, 0.0)], 0.0
+    else:
+        x, y, trace, viol = _iterate(inst.utilities, sizes, B, eps_target, cfg.max_sweeps)
+    return HeuristicResult(x=Allocation(x), y=y, max_violation_trace=trace,
+                           converged=viol <= eps_target,
+                           budget_flagged=bool(abs(x.sum() - B) > eps_target * B))
 
-    # One column-major copy (1.2 ms at n=20000, k=30) makes each sweep's u.T @ inv
-    # 0.12 ms instead of 0.33 ms; that product's bits depend on the layout.
-    u = np.asfortranarray(inst.utilities)
+
+def _iterate(u: np.ndarray, sizes: np.ndarray, B: float, eps_target: float, max_sweeps: int):
+    """(x, y, trace, violation at (x, y)) of the iteration, for a binding budget."""
+    n, k = u.shape
+    v = np.divide(u, sizes, order="F")  # column-major: both products of G read it faster
     scale = B / n
-    # Each item's supporters (u_ij > 0): the only voters that moving it touches.
-    valued = u > 0
-    support = [np.flatnonzero(valued[:, j]) for j in range(k)]
-    u_support = [u[on, j] for j, on in enumerate(support)]
-
-    x = np.minimum(sizes, B / k)
-    y = 1.0 / sizes
-    # A saturated item is pinned when (B/n) solo_j >= s_j, the y_j -> 0 limit
-    # of lhs_j: solo_j counts the voters who value j and no other funded item.
-    funded = np.count_nonzero(valued[:, x > 0], axis=1)
-    solo = [np.count_nonzero(funded[ids] == 1) for ids in support]
-    pinnable = scale * np.array(solo) >= sizes
+    log_s = np.log(sizes)
+    floor = log_s + math.log(_FLOOR)
     trace = []
-    best = (np.inf, x.copy(), y.copy())
-    converged = False
-    contrib = x * y
-    denom = u @ contrib  # kept up to date item by item below
 
-    for sweep in range(1, cfg.max_sweeps + 1):
+    def evaluate(q):
+        """(q, r, z, d, G, F side, on the floor) at q: one evaluation of G."""
+        z = np.exp(q)
+        d = v @ z
+        g = v.T @ (scale / d)
         with np.errstate(divide="ignore"):
-            inv = 1.0 / denom
-        over = scale * y * (u.T @ inv) - 1.0
-        pinned = (x == sizes) & pinnable
-        viol = np.where(
-            x == 0.0,
-            np.maximum(over, 0.0),
-            np.where(pinned, np.maximum(-over, 0.0), np.abs(over)),
-        )
-        max_viol = float(viol.max())
-        trace.append((sweep, max_viol))
-        if max_viol < best[0]:
-            best = (max_viol, x.copy(), y.copy())
-        if max_viol <= eps_target:
-            converged = True
-            break
-        j = int(np.argmax(viol))
-        on, u_on = support[j], u_support[j]
-        rest = denom[on] - u_on * contrib[j]
-        xj, yj = _resolve_item(u_on, float(sizes[j]), rest, scale, _ROOT_TOL)
-        if xj == x[j] and yj == y[j]:
-            break  # the worst item cannot move, so every later sweep repeats this one
-        if (xj > 0.0) != (x[j] > 0.0):
-            funded[on] += 1 if xj > 0.0 else -1
-            solo = [np.count_nonzero(funded[ids] == 1) for ids in support]
-            pinnable = scale * np.array(solo) >= sizes
-        x[j], y[j], contrib[j] = xj, yj, xj * yj
-        denom[on] = rest + u_on * contrib[j]
+            log_g = np.log(g)
+        f_side = q + 2.0 * log_g <= log_s
+        t = np.where(f_side, q + log_g, log_s - log_g)
+        on_floor = t < floor
+        r = q - np.maximum(t, floor)
+        trace.append((len(trace) + 1, float(np.abs(r).max())))
+        return q, r, z, d, g, f_side, on_floor
 
-    if not converged:
-        _, x, y = best
-    return HeuristicResult(
-        x=Allocation(x),
-        y=y,
-        max_violation_trace=trace,
-        converged=converged,
-        budget_flagged=bool(abs(x.sum() - B) > eps_target * B),
-    )
+    eye = np.eye(k)
+    state = evaluate(np.log(np.minimum(sizes, B / k)))
+    passes = _CPR_PASSES
+    while True:
+        q, r, z, d, g, f_side, on_floor = state
+        worst = float(np.abs(r).max())
+        with np.errstate(divide="ignore"):
+            y = np.clip(1.0 / g, _FLOOR, 1.0) / sizes
+        x = np.where(f_side & on_floor, 0.0, np.minimum(z * g, sizes))
+        capped = len(trace) >= max_sweeps
+        viol = _violation(u, sizes, scale, x, y) if worst <= eps_target or capped else math.inf
+        if viol <= eps_target or capped:
+            break
+        if passes:
+            passes -= 1
+            state = evaluate(q - r)
+            continue
+        passes = _CPR_PASSES  # unless a trial is accepted below
+        w = math.sqrt(scale) / d  # v^T diag(w^2) v by row blocks: no n x k temporary
+        h = sum(b.T @ b for b in (v[i:i + 4096] * w[i:i + 4096, None] for i in range(0, n, 4096)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # G_j = 0: a floor row
+            dlog_g = h * z / -g[:, None]
+        jac = np.where(f_side[:, None], -dlog_g, eye + dlog_g)
+        jac[on_floor] = eye[on_floor]
+        try:
+            step, trials = np.linalg.solve(jac, -r), _TRIALS
+        except np.linalg.LinAlgError:
+            step, trials = None, 0
+        for eta in 0.5 ** np.arange(min(trials, max_sweeps - len(trace))):
+            trial = evaluate(np.clip(q + eta * step, floor, log_s))
+            if trace[-1][1] < (1.0 - _DECREASE) * worst:
+                state, passes = trial, 0
+                break
+        if passes and viol < math.inf:
+            break  # a fixed point within eps_target that no step improves and the ballots reject
+
+    trace[-1] = (len(trace), viol)
+    return x, y, trace, viol

@@ -26,8 +26,8 @@ corpus and family, the unconverged count, iteration percentiles and ``ratio``
 calls, and each election solve's iterations.  For the saturating set it runs
 ``heuristic_solve`` at ``eps_target`` 1e-9 and prints the binding, converged
 and blocked counts, the blocked draws (continuous oracle, saturating,
-multiplicative, threshold 1e-3, grid 40), and each unconverged draw's sweeps
-and the sweep of its best violation.  It takes about 30 s.
+multiplicative, threshold 1e-3, grid 40), and each unconverged draw's
+evaluations of G and final violation.  It takes about 30 s.
 """
 
 from __future__ import annotations
@@ -160,15 +160,14 @@ SOLVER_CORPORA = ("sweep", "smoothed", "scaled")
 
 def saturating_table(seed: int) -> None:
     """The saturating set at ``eps_target`` 1e-9: binding, converged and
-    blocked counts, and where each unconverged draw found its best sweep."""
+    blocked counts, and each unconverged draw's evaluations and violation."""
     binding, converged, blocked, stalls = 0, 0, [], []
     for t, inst in saturating(seed):
         binding += 1
         result = heuristic_solve(inst, HeuristicConfig(eps_target=1e-9))
         if not result.converged:
-            trace = result.max_violation_trace
-            best_sweep, best = min(trace, key=lambda sv: sv[1])
-            stalls.append(f"draw {t}: {len(trace)} sweeps, best {best:.3g} at sweep {best_sweep}")
+            passes, final = result.max_violation_trace[-1]
+            stalls.append(f"draw {t}: {passes} evaluations, violation {final:.3g}")
             continue
         converged += 1
         model = Saturating(inst.utilities, inst.sizes)

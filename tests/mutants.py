@@ -57,22 +57,22 @@ MUTANTS = [
     ("lindahl", "bad = ~(denom > 0) | ~np.isfinite(denom)", "bad = ~(denom > 0)", None),
     ("lindahl", "np.maximum((B / n) * model.u.sum(axis=0), _SPEND_FLOOR * B)",
      "(B / n) * model.u.sum(axis=0)", None),
-    # saturating: the worst-item sweep.
+    # saturating: capped proportional response with semismooth Newton steps.
     ("saturating", "sizes.sum() <= B * (1.0 + 1e-12)", "sizes.sum() <= B", None),
-    ("saturating", "_ROOT_MAX_ITERS = 200", "_ROOT_MAX_ITERS = 20",
-     "a loop cap: Newton with the bracket-closing step meets the root tolerance in "
-     "far fewer iterations on every instance tried"),
-    ("saturating", "u = np.asfortranarray(inst.utilities)", "u = inst.utilities",
-     "fixes the bits of the sweep's products, which depend on the layout; no test "
-     "compares them with another layout"),
-    ("saturating", "_Y_BRACKET_FLOOR = 1e-12", "_Y_BRACKET_FLOOR = 1e-6", None),
-    ("saturating", "if abs(step) < 0.5 * width:", "if False:", None),
-    ("saturating", "if xj == x[j] and yj == y[j]:", "if False:", None),
-    ("saturating", "pinned = (x == sizes) & pinnable", "pinned = x == sizes", None),
-    ("saturating", "if not converged:\n        _, x, y = best", "if False:\n        pass",
+    ("saturating", "r = q - np.maximum(t, floor)", "r = q - t", None),
+    ("saturating", "on_floor = t < floor", "on_floor = t < -np.inf", None),
+    ("saturating", "jac = np.where(f_side[:, None], -dlog_g, eye + dlog_g)",
+     "jac = np.where(f_side[:, None], eye + dlog_g, -dlog_g)", None),
+    ("saturating", "jac[on_floor] = eye[on_floor]", "pass", None),
+    ("saturating", "if trace[-1][1] < (1.0 - _DECREASE) * worst:", "if True:", None),
+    ("saturating", "_DECREASE = 1e-4", "_DECREASE = 0.0", None),
+    ("saturating", "np.clip(q + eta * step, floor, log_s)", "np.maximum(q + eta * step, floor)",
      None),
-    ("saturating", "if at_lo[0] <= 0.0:", "if False:", None),
-    ("saturating", "if at_zero[0] <= 0.0:", "if False:", None),
+    ("saturating", "passes = _CPR_PASSES  # unless a trial is accepted below", "passes = 0", None),
+    ("saturating", "if passes and viol < math.inf:", "if False:", None),
+    ("saturating", "np.clip(1.0 / g, _FLOOR, 1.0)", "np.minimum(1.0 / g, 1.0)", None),
+    ("saturating", "np.where(f_side & on_floor, 0.0, np.minimum(z * g, sizes))",
+     "np.minimum(z * g, sizes)", None),
     # coreverify: the certificate and the two oracles.
     ("coreverify", "if not np.isfinite(eps):", "if False:", None),
     ("coreverify", "self.budget_total <= self.budget_cap * (1 + 1e-12)",
@@ -221,8 +221,8 @@ MUTANTS = [
     ("cli", "elif any(c is not None for c in cents):", "elif False:", None),
     ("cli", "if x.size != k:", "if False:", None),
     ("cli", "if not args.allocation:", "if False:", None),
-    ("cli", "min((float(v) for _, v in result.max_violation_trace), default=None)",
-     "float(result.max_violation_trace[-1][1])", None),
+    ("cli", "float(result.max_violation_trace[-1][1])",
+     "min(float(v) for _, v in result.max_violation_trace)", None),
     ("cli", 'np.argsort(-core_fill, kind="stable")', "np.arange(inst.k)", None),
     ("cli", "None if not np.isfinite(v) else float(v)", "float(v)", None),
     ("cli", 'if "=" not in pair:', "if False:", None),
