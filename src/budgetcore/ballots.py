@@ -235,11 +235,11 @@ def _block_correlated(n, k, rng, params):
 
 
 def _k_approval(n, k, rng, params):
-    """Each voter approves a uniform random subset of fixed size; item sizes
-    are drawn once per instance as a fraction of the budget."""
+    """Each voter approves a uniform random set of ``approvals`` items, min(4, k)
+    by default; item sizes are drawn once per instance as a fraction of the budget."""
     if k is None or k < 1:
         raise BallotError("k-approval needs k >= 1")
-    approvals = params.pop("approvals", 4)
+    approvals = params.pop("approvals", min(4, k))
     if not (isinstance(approvals, numbers.Integral) and 1 <= approvals <= k):
         raise BallotError(f"approvals must lie in [1, k], got {approvals}")
     picks = np.empty((n, approvals), dtype=np.intp)

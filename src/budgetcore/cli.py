@@ -94,12 +94,12 @@ def _to_cents(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class ElectionConfig:
-    """Parsed run configuration; money held as integer cents."""
+    """Parsed run configuration in the shape ``report["config"]`` shows it;
+    money held as integer cents."""
 
     budget_cents: int = 100
-    item_sizes_cents: Optional[dict] = None  # name -> cents
-    model_family: str = "linear"
-    model_params: dict = field(default_factory=dict)
+    items: Optional[list] = None  # [{"name": str, "size_cents": int or None}, ...]
+    utility_model: dict = field(default_factory=lambda: {"family": "linear"})  # make_model's kwargs
     solver: dict = field(default_factory=dict)
     heuristic: dict = field(default_factory=dict)
     mechanism: dict = field(default_factory=dict)
@@ -111,12 +111,7 @@ class ElectionConfig:
 
     @staticmethod
     def from_file(path) -> "ElectionConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise CliError(f"config {path}: invalid JSON ({e})") from None
-        return ElectionConfig.from_dict(raw, source=str(path))
+        return ElectionConfig.from_dict(_read_json(path, "config"), source=str(path))
 
     @staticmethod
     def from_dict(raw: dict, source: str = "<dict>") -> "ElectionConfig":
@@ -127,11 +122,11 @@ class ElectionConfig:
         if unknown:
             raise CliError(f"config {source}: unknown keys {sorted(unknown)}")
         budget_cents = _to_cents(raw.get("budget", 1.0), "budget")
-        sizes = None
+        items = None
         if "items" in raw:
             if not isinstance(raw["items"], list):
                 raise CliError(f"config {source}: 'items' must be a JSON list")
-            sizes = {}
+            items = []
             for entry in raw["items"]:
                 if not isinstance(entry, dict):
                     raise CliError(f"config {source}: item entry {entry!r} is not a JSON object")
@@ -140,17 +135,15 @@ class ElectionConfig:
                     raise CliError(f"config {source}: item entry missing 'name'")
                 if not isinstance(name, str):
                     raise CliError(f"config {source}: item name {name!r} must be a string")
-                if name in sizes:
+                if any(item["name"] == name for item in items):
                     raise CliError(f"config {source}: duplicate item {name!r}")
-                sizes[name] = (
-                    _to_cents(entry["size"], f"size of {name!r}") if "size" in entry else None
-                )
-        model = raw.get("utility_model", {"family": "linear"})
+                size = _to_cents(entry["size"], f"size of {name!r}") if "size" in entry else None
+                items.append({"name": name, "size_cents": size})
+        model = raw.get("utility_model", {})
         if not isinstance(model, dict):
             raise CliError(f"config {source}: 'utility_model' must be a JSON object")
-        model = dict(model)
-        family = model.pop("family", "linear")
-        if not isinstance(family, str):
+        model = {"family": "linear", **model}
+        if not isinstance(model["family"], str):
             raise CliError(f"config {source}: utility_model 'family' must be a string")
         blocks = {}
         for name, knobs in _CONFIG_BLOCKS.items():
@@ -168,26 +161,8 @@ class ElectionConfig:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise CliError(f"config {source}: 'seed' must be a nonnegative integer, got {seed!r}")
         return ElectionConfig(
-            budget_cents=budget_cents,
-            item_sizes_cents=sizes,
-            model_family=family,
-            model_params=model,
-            seed=seed,
-            **blocks,
+            budget_cents=budget_cents, items=items, utility_model=model, seed=seed, **blocks
         )
-
-    def echo(self) -> dict:
-        return {
-            "budget_cents": self.budget_cents,
-            "items": None
-            if self.item_sizes_cents is None
-            else [{"name": n, "size_cents": c} for n, c in self.item_sizes_cents.items()],
-            "utility_model": {"family": self.model_family, **self.model_params},
-            "solver": self.solver,
-            "heuristic": self.heuristic,
-            "mechanism": self.mechanism,
-            "seed": self.seed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +186,25 @@ def _jsonable(obj):
     return obj
 
 
-def _write_trace(out_dir: Path, trace) -> str:
-    path = out_dir / "trace.csv"
+def _read_json(path, what: str):
+    """The JSON value in ``path``; malformed JSON is a CliError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CliError(f"{what} {path}: invalid JSON ({e})") from None
+
+
+def _write_csv(path: Path, header: str, rows) -> str:
+    """Write ``header`` and one line per row (a sequence of formatted fields)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,max_violation\n")
-        for it, viol in trace:
-            fh.write(f"{int(it)},{viol:.12g}\n")
+        fh.writelines(f"{line}\n" for line in [header, *map(",".join, rows)])
     return str(path)
+
+
+def _write_trace(out_dir: Path, trace) -> str:
+    rows = ((str(int(it)), f"{viol:.12g}") for it, viol in trace)
+    return _write_csv(out_dir / "trace.csv", "iteration,max_violation", rows)
 
 
 def _load_instance(args, cfg: ElectionConfig) -> tuple[Instance, dict]:
@@ -225,14 +212,15 @@ def _load_instance(args, cfg: ElectionConfig) -> tuple[Instance, dict]:
         raise CliError("this command needs --votes PATH")
     matrix, names = parse_votes(args.votes)
     sizes = None
-    if cfg.item_sizes_cents is not None:
-        unknown = [n for n in names if n not in cfg.item_sizes_cents]
+    if cfg.items is not None:
+        sizes_cents = {item["name"]: item["size_cents"] for item in cfg.items}
+        unknown = [n for n in names if n not in sizes_cents]
         if unknown:
             raise CliError(f"unknown item column(s) not in config: {unknown}")
-        missing = [n for n in cfg.item_sizes_cents if n not in names]
+        missing = [n for n in sizes_cents if n not in names]
         if missing:
             raise CliError(f"config item(s) missing from votes file: {missing}")
-        cents = [cfg.item_sizes_cents[n] for n in names]
+        cents = [sizes_cents[n] for n in names]
         if all(c is not None for c in cents):
             sizes = np.array([c / 100.0 for c in cents])
         elif any(c is not None for c in cents):
@@ -260,7 +248,7 @@ def _certificate(cert: CoreCertificate) -> dict:
 
 
 def _cmd_solve(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
-    model = make_model(inst, cfg.model_family, **cfg.model_params)
+    model = make_model(inst, **cfg.utility_model)
     result = solve_potential(inst, model, SolverConfig(**cfg.solver))
     report["artifacts"]["trace_csv"] = _write_trace(out_dir, result.objective_trace)
     return {
@@ -300,10 +288,11 @@ def _cmd_solve_sat(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict)
 
 
 def _read_allocation(path, k: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, "allocation file")
     if isinstance(raw, dict):
-        raw = raw.get("x")
+        if "x" not in raw:
+            raise CliError(f"allocation file {path}: a JSON object needs the key 'x'")
+        raw = raw["x"]
     try:
         x = Allocation(np.asarray(raw, dtype=float)).x
     except (TypeError, ValueError) as e:
@@ -317,7 +306,7 @@ def _cmd_check_core(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict
     if not args.allocation:
         raise CliError("check-core needs --allocation PATH (JSON spend vector)")
     x = _read_allocation(args.allocation, inst.k)
-    model = make_model(inst, cfg.model_family, **cfg.model_params)
+    model = make_model(inst, **cfg.utility_model)
     # The search settings, so that a null deviation says what was searched.
     report["input"].update(allocation=str(args.allocation), grid=args.grid, mode=args.mode,
                            threshold=args.threshold)
@@ -356,17 +345,11 @@ def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -
     votes = vote_counts(inst)
     core_fill = core.fractional.x / sizes
     welfare_fill = welfare.fractional.x / sizes
-    table_path = out_dir / "compare.csv"
-    order = np.argsort(-core_fill, kind="stable")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("Project,Budget,Votes,Core,Welfare\n")
-        for j in order:
-            fh.write(
-                f"{inst.item_names[j]},{sizes[j]:.2f},{int(votes[j])},"
-                f"{core_fill[j]:.2f},{welfare_fill[j]:.2f}\n"
-            )
-
-    report["artifacts"]["table_csv"] = str(table_path)
+    rows = ((inst.item_names[j], f"{sizes[j]:.2f}", str(int(votes[j])), f"{core_fill[j]:.2f}",
+             f"{welfare_fill[j]:.2f}") for j in np.argsort(-core_fill, kind="stable"))
+    report["artifacts"]["table_csv"] = _write_csv(
+        out_dir / "compare.csv", "Project,Budget,Votes,Core,Welfare", rows
+    )
     return {
         "core": {
             "order": core.order,
@@ -389,12 +372,10 @@ def _cmd_compare(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -
 
 def _cmd_analyze(args, cfg: ElectionConfig, inst, out_dir: Path, report: dict) -> dict:
     rep = chi2_pairwise(inst, dof=args.dof, alpha=args.alpha)
-    dendro_path = out_dir / "dendrogram.csv"
-    with open(dendro_path, "w", encoding="utf-8") as fh:
-        fh.write("cluster_a,cluster_b,height\n")
-        for a, b, h in rep.merges:
-            fh.write(f"{a},{b},{h:.6g}\n")
-    report["artifacts"]["dendrogram_csv"] = str(dendro_path)
+    rows = ((str(a), str(b), f"{h:.6g}") for a, b, h in rep.merges)
+    report["artifacts"]["dendrogram_csv"] = _write_csv(
+        out_dir / "dendrogram.csv", "cluster_a,cluster_b,height", rows
+    )
     # Undefined p-values (degenerate items) are null, not "nan".
     p_values = [[None if not np.isfinite(v) else float(v) for v in row] for row in rep.p_values]
     return {**vars(rep), "p_values": p_values}
@@ -457,7 +438,7 @@ def run_command(command: str, args, cfg: ElectionConfig, out_dir: Path) -> str:
     report = {
         "tool": {"name": "budgetcore", "version": __version__},
         "command": command,
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "input": meta,
         "artifacts": {},
     }

@@ -30,8 +30,9 @@ same way; their approximation factor is
 The randomized mechanism's fairness point over its floored simplex is also
 found by ``solve_potential``: shifting every linear utility by floor/slack
 turns it into the proportional-fairness point of a budget-slack instance (see
-``budgetcore.mechanism.proportional_fairness_point``), so this module holds the
-package's one optimization engine, a projected damped Newton method.
+``budgetcore.mechanism.proportional_fairness_point``), so this projected damped
+Newton method solves every smooth problem; the package has one engine per problem
+class, and ``budgetcore.saturating`` holds the other, for hard saturating curves.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     Instance,
     ModelError,
     UtilityModel,
+    _column_sums,
     _weighted_slopes,
     allocation_vector,
     reject_bools,
@@ -114,12 +116,6 @@ class LindahlResult:
     iterations: int
     converged: bool
     objective_trace: list = field(default_factory=list)
-
-
-def _column_sums(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u^T w.  BLAS splits this reduction over voters across threads, which
-    moves its last bits with the thread count; einsum sums in one fixed order."""
-    return np.einsum("ij,i->j", u, w)
 
 
 def _funded(x, budget: float) -> np.ndarray:

@@ -208,6 +208,13 @@ class UtilityModel(abc.ABC):
         """Per-item marginal spend x_j f_j'(x_j), written so x = 0 never gives 0 * inf."""
 
 
+def _column_sums(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u^T w, the package's one fixed-order sum over voters.  BLAS splits this
+    reduction across threads, which moves its last bits with the thread count;
+    einsum sums in one order."""
+    return np.einsum("ij,i->j", u, w)
+
+
 def _weighted_slopes(u: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """u * f'(x), with 0 where u is 0 even if f'(x) is inf (x^a, a < 1, at x = 0)."""
     with np.errstate(invalid="ignore"):

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Allocation, Instance, reject_bools
+from .model import Allocation, Instance, _column_sums, reject_bools
 
 __all__ = ["HeuristicConfig", "HeuristicResult", "smoothing_alpha", "heuristic_solve"]
 
@@ -87,7 +87,7 @@ def _violation(u: np.ndarray, sizes: np.ndarray, scale: float, x: np.ndarray,
     fully funded items whose solo supporters (who value no other funded item)
     hold lhs_j at 1 or more by themselves, (B/n) solo_j >= s_j."""
     with np.errstate(divide="ignore"):
-        over = scale * y * (u.T @ (1.0 / (u @ (x * y)))) - 1.0
+        over = scale * y * _column_sums(u, 1.0 / (u @ (x * y))) - 1.0
     valued = u > 0
     funded = np.count_nonzero(valued[:, x > 0], axis=1)
     solo = np.count_nonzero(valued[funded == 1], axis=0)
@@ -136,7 +136,7 @@ def _iterate(u: np.ndarray, sizes: np.ndarray, B: float, eps_target: float, max_
         """(q, r, z, d, G, F side, on the floor) at q: one evaluation of G."""
         z = np.exp(q)
         d = v @ z
-        g = v.T @ (scale / d)
+        g = _column_sums(v, scale / d)
         with np.errstate(divide="ignore"):
             log_g = np.log(g)
         f_side = q + 2.0 * log_g <= log_s

@@ -90,6 +90,7 @@ MUTANTS = [
     ("model", "_KINK_RTOL = 1e-9", "_KINK_RTOL = 0.0", None),
     ("model", "U[rows] = np.where(~pos[rows] @ self.u.T > 0, 0.0, U[rows])", "pass", None),
     ("model", "return np.where(u > 0, u * fp, 0.0)", "return u * fp", None),
+    ("model", 'return np.einsum("ij,i->j", u, w)', "return u.T @ w", None),
     ("model", "np.where(coef == 0.0, 0.0, coef * pow_term)", "coef * pow_term", None),
     ("model", "if np.any(s <= 0) or not np.all(np.isfinite(s)):", "if np.any(s <= 0):", None),
     # mechanism: the floored simplex, the score, the sampler and the experiments.
@@ -206,8 +207,8 @@ MUTANTS = [
      None),
     ("cli", "if not isinstance(raw[\"items\"], list):", "if False:", None),
     ("cli", "if not name:", "if False:", None),
-    ("cli", "if name in sizes:", "if False:", None),
-    ("cli", "if not isinstance(family, str):", "if False:", None),
+    ("cli", "if any(item[\"name\"] == name for item in items):", "if False:", None),
+    ("cli", "if not isinstance(model[\"family\"], str):", "if False:", None),
     ("cli", "knobs(**block)", "pass", None),
     ("cli", "if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:", "if False:",
      None),
@@ -219,6 +220,9 @@ MUTANTS = [
      "if False:\n            raise CliError(f\"unknown item", None),
     ("cli", "if missing:", "if False:", None),
     ("cli", "elif any(c is not None for c in cents):", "elif False:", None),
+    ("cli", "except json.JSONDecodeError as e:", "except ValueError as e:", None),
+    ("cli", "except json.JSONDecodeError as e:", "except ZeroDivisionError as e:", None),
+    ("cli", "if \"x\" not in raw:", "if False:", None),
     ("cli", "if x.size != k:", "if False:", None),
     ("cli", "if not args.allocation:", "if False:", None),
     ("cli", "float(result.max_violation_trace[-1][1])",

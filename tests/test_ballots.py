@@ -473,6 +473,12 @@ class TestRandomProfiles:
         with pytest.raises(BallotError, match=r"approvals must lie in \[1, k\]"):
             gen_synthetic("k-approval", n=10, k=3, approvals=5)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_k_approval_default_approves_every_item_when_k_is_small(self, k):
+        # The default approval count is min(4, k), so k <= 3 needs no 'approvals'.
+        inst = gen_synthetic("k-approval", n=20, k=k, seed=5)
+        assert np.all(inst.utilities.sum(axis=1) == k)
+
     @pytest.mark.parametrize("approvals", [2.5, 2.0, "2", 0, 6])
     def test_approvals_must_be_an_integer_in_range(self, approvals):
         # int() would quietly read 2.5 as 2 approvals.

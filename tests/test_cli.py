@@ -363,6 +363,20 @@ class TestCheckCore:
         assert err["error"]["type"] == "CliError"
         assert "allocation file has 3 entries, expected 2" in err["error"]["message"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("oops", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ('{"X": [0.5, 0.5]}', "a JSON object needs the key 'x'"),
+    ], ids=["malformed", "no-x"])
+    def test_unreadable_allocation_file_is_named(self, capsys, tmp_path, text, message):
+        votes = self.setup_majority(capsys, tmp_path)
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(text)
+        rc, err = run(capsys, "check-core", "--votes", votes, "--allocation", str(alloc),
+                      "--out", str(tmp_path / "chk"))
+        assert rc == 1
+        assert err["error"] == {"type": "CliError",
+                                "message": f"allocation file {alloc}: {message}"}
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_nonpositive_grid_is_an_error_report(self, capsys, tmp_path, grid):
         votes = self.setup_majority(capsys, tmp_path)
@@ -602,6 +616,23 @@ class TestErrors:
         assert err["error"]["type"] == "CliError"
         assert "unknown keys" in err["error"]["message"]
 
+    def test_malformed_config_is_named(self, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text('{"budget": 5,}')
+        rc, err = run(capsys, "gen", "--profile", "figure1a", "--n", "5",
+                      "--config", str(config), "--out", str(tmp_path))
+        assert rc == 1
+        assert err["error"]["type"] == "CliError"
+        assert err["error"]["message"].startswith(f"config {config}: invalid JSON (")
+
+    def test_config_not_in_utf8_is_a_decoding_error(self, tmp_path):
+        # An encoding fault keeps its own type; "invalid JSON" would send the
+        # user looking for a syntax error.
+        config = tmp_path / "latin1.json"
+        config.write_bytes('{"items": [{"name": "caf\u00e9"}]}'.encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            ElectionConfig.from_file(config)
+
     def test_unknown_block_key_is_an_error_report(self, capsys, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"solver": {"tolerance": 1e-6}}))
@@ -807,7 +838,7 @@ class TestConfigParsing:
         })
         assert cfg.budget_cents == 1055
         assert cfg.budget == 10.55
-        assert cfg.item_sizes_cents == {"a": 7, "b": 300}
+        assert cfg.items == [{"name": "a", "size_cents": 7}, {"name": "b", "size_cents": 300}]
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(CliError, match="duplicate item"):
@@ -821,8 +852,9 @@ class TestConfigParsing:
         cfg = ElectionConfig.from_dict({
             "utility_model": {"family": "power-sum", "alpha": 0.5},
         })
-        assert cfg.model_family == "power-sum"
-        assert cfg.model_params == {"alpha": 0.5}
+        assert cfg.utility_model == {"family": "power-sum", "alpha": 0.5}
+        cfg = ElectionConfig.from_dict({"utility_model": {"alpha": 0.5}})
+        assert cfg.utility_model == {"family": "linear", "alpha": 0.5}
 
     @pytest.mark.parametrize("block, key", [
         ("solver", "tolerance"),
@@ -854,7 +886,7 @@ class TestConfigParsing:
 
     def test_echo_round_trips_budget(self):
         cfg = ElectionConfig.from_dict({"budget": 2.5, "seed": 9})
-        echoed = cfg.echo()
+        echoed = dataclasses.asdict(cfg)
         assert echoed["budget_cents"] == 250
         assert echoed["seed"] == 9
 

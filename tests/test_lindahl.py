@@ -389,16 +389,20 @@ BLAS_PROBE = """
 from budgetcore.ballots import gen_synthetic
 from budgetcore.lindahl import solve_potential
 from budgetcore.model import make_model
+from budgetcore.saturating import heuristic_solve
 inst = gen_synthetic("k-approval", n=20000, k=30, seed=1, budget=1e6)
 for family, params in (("linear", {}), ("powersum", {"alpha": 0.5}),
                        ("smoothed", {"eps_smooth": 0.1})):
     r = solve_potential(inst, make_model(inst, family, **params))
     print(family, r.x.x.tobytes().hex(), r.residuals.tobytes().hex())
+h = heuristic_solve(inst)
+print("saturating", h.x.x.tobytes().hex(), h.y.tobytes().hex())
 """
 
 
 def test_solve_is_identical_across_blas_thread_counts():
-    """x and the residuals carry the same bits with 1 and 2 OpenBLAS threads.
+    """x and the residuals, and the saturating solver's x and prices, carry the
+    same bits with 1 and 2 OpenBLAS threads.
 
     OpenBLAS splits a reduction over 20000 voters across its threads, which
     moves the last bits of the sum, so a solver that summed over voters with
@@ -413,5 +417,5 @@ def test_solve_is_identical_across_blas_thread_counts():
             [sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
             env=env, check=True, timeout=120,
         ).stdout)
-    assert len(outputs[0].splitlines()) == 3
+    assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]
